@@ -92,19 +92,7 @@ let run_goal session engine_kind wfs bounds text =
         (if List.length answers = 1 then "" else "s")
 
 let print_stats session =
-  let stats = Xsb.Engine.stats (Xsb.Session.engine session) in
-  Fmt.pr
-    "subgoals=%d answers=%d (dups %d) suspensions=%d resumptions=%d resolutions=%d neg-susp=%d \
-     nested-evals=%d completions=%d sccs-completed=%d early-completions=%d max-scc=%d \
-     subsumed-calls=%d subsumption-hits=%d answers-filtered=%d steps=%d@."
-    stats.Xsb.Machine.st_subgoals stats.Xsb.Machine.st_answers stats.Xsb.Machine.st_dup_answers
-    stats.Xsb.Machine.st_suspensions stats.Xsb.Machine.st_resumptions
-    stats.Xsb.Machine.st_resolutions stats.Xsb.Machine.st_neg_suspensions
-    stats.Xsb.Machine.st_nested_evals stats.Xsb.Machine.st_completions
-    stats.Xsb.Machine.st_sccs_completed stats.Xsb.Machine.st_early_completions
-    stats.Xsb.Machine.st_max_scc_size stats.Xsb.Machine.st_subsumed_calls
-    stats.Xsb.Machine.st_subsumption_hits stats.Xsb.Machine.st_answers_filtered
-    stats.Xsb.Machine.st_steps
+  Fmt.pr "%a" Xsb.Machine.pp_stats_line (Xsb.Engine.stats (Xsb.Session.engine session))
 
 let repl session engine_kind wfs bounds =
   Fmt.pr "XSB-repro (OCaml). Type goals ending with '.', or 'halt.' to quit.@.";

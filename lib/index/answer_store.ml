@@ -30,93 +30,8 @@ let tokens answer =
    consumed before this one is complete *)
 let opens = function TVar _ | TAtom _ | TInt _ | TFloat _ -> 0 | TStruct (_, n) -> n
 
-module type S = sig
-  type t
-
-  val create : ?size_hint:int -> unit -> t
-  val insert : t -> Canon.t -> bool
-  val mem : t -> Canon.t -> bool
-  val size : t -> int
-  val get : t -> int -> Canon.t
-  val iter : (Canon.t -> unit) -> t -> unit
-  val to_list : t -> Canon.t list
-end
-
-module Hash : S = struct
-  type t = { index : unit Canon.Tbl.t; order : Canon.t Vec.t }
-
-  let create ?(size_hint = 32) () = { index = Canon.Tbl.create size_hint; order = Vec.create () }
-
-  let mem t answer = Canon.Tbl.mem t.index answer
-
-  let insert t answer =
-    if mem t answer then false
-    else begin
-      Canon.Tbl.add t.index answer ();
-      Vec.push t.order answer;
-      true
-    end
-
-  let size t = Vec.length t.order
-  let get t i = Vec.get t.order i
-  let iter f t = Vec.iter f t.order
-  let to_list t = Vec.to_list t.order
-end
-
-module Trie : S = struct
-  (* Discrimination trie over the pre-order token string of the canonical
-     answer. Unlike first-string indexing, variables are tokens too, so
-     each answer has exactly one terminal node; storage and index are one
-     structure. *)
-  type node = { mutable terminal : bool; children : node Tok_tbl.t }
-
-  type t = { root : node; order : Canon.t Vec.t }
-
-  let fresh_node () = { terminal = false; children = Tok_tbl.create 4 }
-
-  let create ?size_hint:_ () = { root = fresh_node (); order = Vec.create () }
-
-  let mem t answer =
-    let rec go node = function
-      | [] -> node.terminal
-      | tok :: rest -> (
-          match Tok_tbl.find_opt node.children tok with
-          | Some child -> go child rest
-          | None -> false)
-    in
-    go t.root (tokens answer)
-
-  let insert t answer =
-    let rec go node = function
-      | [] ->
-          if node.terminal then false
-          else begin
-            node.terminal <- true;
-            true
-          end
-      | tok :: rest ->
-          let child =
-            match Tok_tbl.find_opt node.children tok with
-            | Some child -> child
-            | None ->
-                let child = fresh_node () in
-                Tok_tbl.add node.children tok child;
-                child
-          in
-          go child rest
-    in
-    let fresh = go t.root (tokens answer) in
-    if fresh then Vec.push t.order answer;
-    fresh
-
-  let size t = Vec.length t.order
-  let get t i = Vec.get t.order i
-  let iter f t = Vec.iter f t.order
-  let to_list t = Vec.to_list t.order
-end
-
 module Index = struct
-  (* The trie variant extended for the SLG machine's answer tables: each
+  (* The trie behind the SLG machine's answer tables: each
      terminal keeps a payload per answer *clause* (the same template can
      be stored several times, e.g. under different delay lists), and the
      trie supports retrieval by the bound-argument skeleton of a call:
@@ -381,5 +296,3 @@ module Subsumption = struct
         let sum = add_values current value in
         if Canon.equal sum current then None else Some sum
 end
-
-include Hash

@@ -1,4 +1,4 @@
-(** Answer-clause storage with duplicate detection (paper §4.5).
+(** Answer-table storage (paper §4.5).
 
     Answers returned for a tabled subgoal are copied to table space in
     canonical form; inserting an answer that is a variant of an existing
@@ -7,39 +7,13 @@
     consumers can resume incrementally from the position they have
     already consumed.
 
-    Two interchangeable implementations are provided: [Hash] — "a hash
-    index that includes all arguments of the answer", XSB's shipping
-    mechanism — and [Trie] — the trie-based answer index the paper
-    describes as under development, which integrates the index with the
-    storage of the answers. *)
+    [Index] is the trie-based answer index the paper describes as under
+    development; [Subsumption] is the column algebra of
+    answer-subsumptive tables. *)
 
 open Xsb_term
 
-module type S = sig
-  type t
-
-  val create : ?size_hint:int -> unit -> t
-
-  val insert : t -> Canon.t -> bool
-  (** [true] if the answer is new; [false] for a duplicate (variant). *)
-
-  val mem : t -> Canon.t -> bool
-
-  val size : t -> int
-
-  val get : t -> int -> Canon.t
-  (** Answer by insertion position, [0 .. size-1]. *)
-
-  val iter : (Canon.t -> unit) -> t -> unit
-  (** In insertion order. *)
-
-  val to_list : t -> Canon.t list
-end
-
-module Hash : S
-module Trie : S
-
-(** The trie variant extended for the SLG machine's answer tables: the
+(** The SLG machine's answer tables (and its call-subsumption index): the
     index and the storage of the answer clauses are one structure, and the
     trie is searchable by the bound-argument skeleton of a call, so a
     bound call retrieves only the candidate answers whose token prefix can
@@ -145,6 +119,3 @@ module Subsumption : sig
   (** Fold an incoming value into the current one; [None] means the
       stored answer already subsumes the new one (no change). *)
 end
-
-include S
-(** The default implementation (currently [Hash], as in XSB 1.3). *)

@@ -1274,58 +1274,55 @@ let recover_at ?(upto = max_int) ~dir ~generation:gen db =
         records;
       !applied
 
-let stats_json j =
-  with_lock j @@ fun () ->
-  Xsb_obs.Json.Obj
-    [
-      ("generation", Xsb_obs.Json.Int (Int64.to_int j.generation));
-      ("epoch", Xsb_obs.Json.Int (Int64.to_int j.epoch));
-      ("sync", Xsb_obs.Json.String (sync_policy_to_string j.cfg.sync));
-      ("records_appended", Xsb_obs.Json.Int j.stats.records_appended);
-      ("bytes_appended", Xsb_obs.Json.Int j.stats.bytes_appended);
-      ("fsyncs", Xsb_obs.Json.Int j.stats.fsyncs);
-      ("compactions", Xsb_obs.Json.Int j.stats.compactions);
-      ("recovered_records", Xsb_obs.Json.Int j.stats.recovered_records);
-      ("torn_bytes_dropped", Xsb_obs.Json.Int j.stats.torn_bytes_dropped);
-      ("recovery_ms", Xsb_obs.Json.Float j.stats.recovery_ms);
-      ("written_bytes", Xsb_obs.Json.Int j.written);
-      ("durable_bytes", Xsb_obs.Json.Int j.synced);
-      ("group_batches", Xsb_obs.Json.Int j.stats.group_batches);
-      ("group_batch_records", Xsb_obs.Json.Int j.stats.group_batch_records);
-    ]
+(* The one table of journal figures. [publish_metrics] and [pp_stats]
+   are folds over it; a [Counter] row is monotonic and its METRICS series
+   name gains [_total]. Every row is published as a gauge snapshot. *)
+type series = Counter | Gauge
+
+type stat_row = { key : string; help : string; series : series; value : t -> float }
+
+let stat_rows =
+  let row key series help value = { key; help; series; value } in
+  let int f j = Float.of_int (f j) in
+  [
+    row "generation" Gauge "Journal generation (each compaction starts a new one)." (fun j ->
+        Int64.to_float j.generation);
+    row "records_appended" Counter "Records appended to the journal."
+      (int (fun j -> j.stats.records_appended));
+    row "bytes_appended" Counter "Payload bytes appended to the journal."
+      (int (fun j -> j.stats.bytes_appended));
+    row "fsyncs" Counter "fsync(2) calls issued by the journal." (int (fun j -> j.stats.fsyncs));
+    row "compactions" Counter "Snapshot compactions performed."
+      (int (fun j -> j.stats.compactions));
+    row "recovered_records" Gauge "Records replayed at recovery (snapshot + journal)."
+      (int (fun j -> j.stats.recovered_records));
+    row "torn_bytes_dropped" Gauge "Torn tail bytes dropped at recovery."
+      (int (fun j -> j.stats.torn_bytes_dropped));
+    row "recovery_ms" Gauge "Wall-clock milliseconds spent in the last recovery." (fun j ->
+        j.stats.recovery_ms);
+    row "written_bytes" Gauge "Journal file size, including records not yet fsynced."
+      (int (fun j -> j.written));
+    row "durable_bytes" Gauge "Bytes known durable (covered by the last fsync)."
+      (int (fun j -> j.synced));
+    row "lag_bytes" Gauge "Durability lag: written bytes not yet fsynced."
+      (int (fun j -> j.written - j.synced));
+    row "group_batches" Counter "Group-commit batches fsynced."
+      (int (fun j -> j.stats.group_batches));
+    row "group_batch_records" Counter "Records acknowledged by group-commit batches."
+      (int (fun j -> j.stats.group_batch_records));
+    row "epoch" Gauge "Failover fencing epoch stamped in the journal header." (fun j ->
+        Int64.to_float j.epoch);
+  ]
+
+let iter_stats j f = with_lock j @@ fun () -> List.iter (fun r -> f r (r.value j)) stat_rows
 
 let publish_metrics j reg =
   let module M = Xsb_obs.Metrics in
-  with_lock j @@ fun () ->
-  let s = j.stats in
-  let g help name v =
-    M.Gauge.set (M.gauge reg ~help ("xsb_journal_" ^ name)) v
-  in
-  g "Records appended to the journal." "records_appended_total"
-    (Float.of_int s.records_appended);
-  g "Payload bytes appended to the journal." "bytes_appended_total"
-    (Float.of_int s.bytes_appended);
-  g "fsync(2) calls issued by the journal." "fsyncs_total" (Float.of_int s.fsyncs);
-  g "Snapshot compactions performed." "compactions_total" (Float.of_int s.compactions);
-  g "Records replayed at recovery (snapshot + journal)." "recovered_records"
-    (Float.of_int s.recovered_records);
-  g "Torn tail bytes dropped at recovery." "torn_bytes_dropped"
-    (Float.of_int s.torn_bytes_dropped);
-  g "Wall-clock milliseconds spent in the last recovery." "recovery_ms" s.recovery_ms;
-  g "Journal file size, including records not yet fsynced." "written_bytes"
-    (Float.of_int j.written);
-  g "Bytes known durable (covered by the last fsync)." "durable_bytes"
-    (Float.of_int j.synced);
-  g "Durability lag: written bytes not yet fsynced." "lag_bytes"
-    (Float.of_int (j.written - j.synced));
-  g "Group-commit batches fsynced." "group_batches_total" (Float.of_int s.group_batches);
-  g "Records acknowledged by group-commit batches." "group_batch_records_total"
-    (Float.of_int s.group_batch_records);
-  g "Failover fencing epoch stamped in the journal header." "epoch" (Int64.to_float j.epoch)
+  iter_stats j @@ fun r v ->
+  let name = "xsb_journal_" ^ r.key ^ match r.series with Counter -> "_total" | Gauge -> "" in
+  M.Gauge.set (M.gauge reg ~help:r.help name) v
 
 let pp_stats ppf j =
-  Format.fprintf ppf
-    "journal: generation %Ld, %d records / %d bytes appended, %d fsyncs, %d compactions, %d \
-     recovered, recovery %.1f ms, durable %d/%d bytes@."
-    j.generation j.stats.records_appended j.stats.bytes_appended j.stats.fsyncs
-    j.stats.compactions j.stats.recovered_records j.stats.recovery_ms j.synced j.written
+  iter_stats j @@ fun r v ->
+  if Float.is_integer v then Format.fprintf ppf "journal_%s: %.0f@." r.key v
+  else Format.fprintf ppf "journal_%s: %.3f@." r.key v

@@ -323,11 +323,12 @@ type stats = {
 }
 
 val stats : t -> stats
-val stats_json : t -> Xsb_obs.Json.t
 val pp_stats : Format.formatter -> t -> unit
+(** One [journal_<key>: value] line per row of the journal's stats
+    table (the rows {!publish_metrics} exports). The server appends it
+    to its [STATISTICS] reply. *)
 
 val publish_metrics : t -> Xsb_obs.Metrics.t -> unit
-(** Snapshot durability state into a metrics registry as
-    [xsb_journal_*] gauges: append/fsync/compaction counts, recovery
-    figures, and the written/durable byte watermarks with their lag.
+(** The same table as [xsb_journal_<key>] gauges, with a [_total]
+    suffix on the monotonic counters.
     Values are sampled at call time — callers refresh per scrape. *)

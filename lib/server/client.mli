@@ -1,5 +1,5 @@
 (** A blocking client for the query service — the library behind
-    [bin/xsb_client.ml], the server tests and [bench server]. One
+    [bin/xsb_client.ml], the server tests and the benchmarks. One
     {!t} is one TCP connection, i.e. one private server-side session. *)
 
 type t

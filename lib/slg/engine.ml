@@ -182,10 +182,6 @@ let set_profiling t flag =
   if flag && not (Xsb_obs.Obs.Metrics.enabled m) then Xsb_obs.Obs.Metrics.reset m;
   Xsb_obs.Obs.Metrics.set_enabled m flag
 
-(* call counting is the profiling registry's m_calls column *)
-let set_count_calls = set_profiling
-let call_count t name arity = Xsb_obs.Obs.Metrics.calls t.env.Machine.metrics name arity
-
 let pp_profile ?internal ppf t = Xsb_obs.Obs.Metrics.pp_report ?internal ppf (metrics t)
 let pp_table_dump ppf t = Machine.pp_table_dump ppf t.env
 
@@ -198,37 +194,13 @@ let table_bytes_by_pred t = Machine.table_bytes_by_pred t.env
 let publish_metrics t reg =
   let module M = Xsb_obs.Metrics in
   let s = t.env.Machine.stats in
-  let stat kind v =
-    let g =
-      M.gauge reg ~labels:[ ("kind", kind) ]
-        ~help:"SLG evaluation counters since the last table reset."
-        "xsb_engine_stat"
-    in
-    M.Gauge.set g (Float.of_int v)
-  in
-  stat "subgoals" s.Machine.st_subgoals;
-  stat "answers" s.Machine.st_answers;
-  stat "dup_answers" s.Machine.st_dup_answers;
-  stat "suspensions" s.Machine.st_suspensions;
-  stat "resumptions" s.Machine.st_resumptions;
-  stat "resolutions" s.Machine.st_resolutions;
-  stat "neg_suspensions" s.Machine.st_neg_suspensions;
-  stat "nested_evals" s.Machine.st_nested_evals;
-  stat "completions" s.Machine.st_completions;
-  stat "answer_probes" s.Machine.st_answer_probes;
-  stat "answer_candidates" s.Machine.st_answer_candidates;
-  stat "answer_full_size" s.Machine.st_answer_full_size;
-  stat "subsumed_calls" s.Machine.st_subsumed_calls;
-  stat "subsumption_hits" s.Machine.st_subsumption_hits;
-  stat "answers_filtered" s.Machine.st_answers_filtered;
-  stat "drains_scheduled" s.Machine.st_drains_scheduled;
-  stat "sccs_completed" s.Machine.st_sccs_completed;
-  stat "early_completions" s.Machine.st_early_completions;
-  stat "max_scc_size" s.Machine.st_max_scc_size;
-  stat "invalidations" s.Machine.st_invalidations;
-  stat "repairs" s.Machine.st_repairs;
-  stat "folds" s.Machine.st_folds;
-  stat "steps" s.Machine.st_steps;
+  List.iter
+    (fun (r : Machine.stat_row) ->
+      M.Gauge.set
+        (M.gauge reg ~labels:[ ("kind", r.key) ]
+           ~help:"SLG evaluation counters since the last table reset." "xsb_engine_stat")
+        (Float.of_int (r.get s)))
+    Machine.stat_rows;
   M.Gauge.set
     (M.gauge reg ~help:"Live tabled subgoals." "xsb_engine_tables")
     (Float.of_int (Canon.Tbl.length t.env.Machine.tables));

@@ -118,13 +118,6 @@ val set_profiling : t -> bool -> unit
     answer-table size). Enabling from a disabled state resets the
     registry. *)
 
-val set_count_calls : t -> bool -> unit
-(** Alias of {!set_profiling}, kept for the paper's call-count
-    experiments. *)
-
-val call_count : t -> string -> int -> int
-(** Number of calls made to a predicate since profiling was enabled. *)
-
 val pp_profile : ?internal:bool -> Format.formatter -> t -> unit
 (** The sortable [--profile] report, hottest predicate first. *)
 
@@ -144,7 +137,7 @@ val table_bytes_by_pred : t -> ((string * int) * int) list
 
 val publish_metrics : t -> Xsb_obs.Metrics.t -> unit
 (** Snapshot the engine's observable state into a metrics registry:
-    every {!Machine.stats} counter as [xsb_engine_stat{kind=...}], the
+    every row of {!Machine.stat_rows} as [xsb_engine_stat{kind=...}], the
     live table count, total table-space and call-index byte estimates,
     and per-predicate [xsb_table_bytes{pred="name/arity"}] gauges.
     Values are sampled at call time — callers build (or refresh) the

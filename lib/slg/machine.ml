@@ -211,49 +211,64 @@ let fresh_stats () =
     st_steps = 0;
   }
 
-(* Zero the counters in place (the record is shared by live references —
-   [Engine.stats] hands it out once). Called by [abolish_tables], so an
-   engine reset between runs cannot leak [st_max_scc_size] and friends
-   into the next session's measurements. *)
-let reset_stats st =
-  st.st_subgoals <- 0;
-  st.st_answers <- 0;
-  st.st_dup_answers <- 0;
-  st.st_suspensions <- 0;
-  st.st_resumptions <- 0;
-  st.st_resolutions <- 0;
-  st.st_neg_suspensions <- 0;
-  st.st_nested_evals <- 0;
-  st.st_completions <- 0;
-  st.st_answer_probes <- 0;
-  st.st_answer_candidates <- 0;
-  st.st_answer_full_size <- 0;
-  st.st_subsumed_calls <- 0;
-  st.st_subsumption_hits <- 0;
-  st.st_answers_filtered <- 0;
-  st.st_drains_scheduled <- 0;
-  st.st_sccs_completed <- 0;
-  st.st_early_completions <- 0;
-  st.st_max_scc_size <- 0;
-  st.st_invalidations <- 0;
-  st.st_repairs <- 0;
-  st.st_folds <- 0;
-  st.st_steps <- 0
+(* The one table of engine counters: a row per [stats] field, keyed by
+   its METRICS [xsb_engine_stat{kind=...}] label. [reset_stats],
+   [pp_stats], [pp_stats_line], [statistics/1] and [Engine.publish_metrics]
+   are folds over it, so every surface shows the same counters under the
+   same keys in the same order. *)
+type stat_row = { key : string; get : stats -> int; set : stats -> int -> unit }
 
-let pp_stats ppf st =
-  Fmt.pf ppf
-    "subgoals: %d@.answers: %d (dups %d)@.suspensions: %d@.resumptions: %d@.resolutions: \
-     %d@.negative suspensions: %d@.nested evaluations: %d@.completions: %d@.answer index probes: \
-     %d@.answer index candidates: %d (of %d stored)@.subsumed calls: %d@.subsumption hits: \
-     %d@.answers filtered: %d@.drains scheduled: \
-     %d@.sccs completed: %d@.early completions: %d@.max scc size: %d@.invalidations: \
-     %d@.repairs: %d@.folds: %d@.steps: %d@."
-    st.st_subgoals st.st_answers st.st_dup_answers st.st_suspensions st.st_resumptions
-    st.st_resolutions st.st_neg_suspensions st.st_nested_evals st.st_completions
-    st.st_answer_probes st.st_answer_candidates st.st_answer_full_size st.st_subsumed_calls
-    st.st_subsumption_hits st.st_answers_filtered
-    st.st_drains_scheduled st.st_sccs_completed st.st_early_completions st.st_max_scc_size
-    st.st_invalidations st.st_repairs st.st_folds st.st_steps
+let stat_rows =
+  let row key get set = { key; get; set } in
+  [
+    row "subgoals" (fun s -> s.st_subgoals) (fun s v -> s.st_subgoals <- v);
+    row "answers" (fun s -> s.st_answers) (fun s v -> s.st_answers <- v);
+    row "dup_answers" (fun s -> s.st_dup_answers) (fun s v -> s.st_dup_answers <- v);
+    row "suspensions" (fun s -> s.st_suspensions) (fun s v -> s.st_suspensions <- v);
+    row "resumptions" (fun s -> s.st_resumptions) (fun s v -> s.st_resumptions <- v);
+    row "resolutions" (fun s -> s.st_resolutions) (fun s v -> s.st_resolutions <- v);
+    row "neg_suspensions" (fun s -> s.st_neg_suspensions) (fun s v -> s.st_neg_suspensions <- v);
+    row "nested_evals" (fun s -> s.st_nested_evals) (fun s v -> s.st_nested_evals <- v);
+    row "completions" (fun s -> s.st_completions) (fun s v -> s.st_completions <- v);
+    row "answer_probes" (fun s -> s.st_answer_probes) (fun s v -> s.st_answer_probes <- v);
+    row "answer_candidates" (fun s -> s.st_answer_candidates) (fun s v ->
+        s.st_answer_candidates <- v);
+    row "answer_full_size" (fun s -> s.st_answer_full_size) (fun s v ->
+        s.st_answer_full_size <- v);
+    row "subsumed_calls" (fun s -> s.st_subsumed_calls) (fun s v -> s.st_subsumed_calls <- v);
+    row "subsumption_hits" (fun s -> s.st_subsumption_hits) (fun s v ->
+        s.st_subsumption_hits <- v);
+    row "answers_filtered" (fun s -> s.st_answers_filtered) (fun s v ->
+        s.st_answers_filtered <- v);
+    row "drains_scheduled" (fun s -> s.st_drains_scheduled) (fun s v ->
+        s.st_drains_scheduled <- v);
+    row "sccs_completed" (fun s -> s.st_sccs_completed) (fun s v -> s.st_sccs_completed <- v);
+    row "early_completions" (fun s -> s.st_early_completions) (fun s v ->
+        s.st_early_completions <- v);
+    row "max_scc_size" (fun s -> s.st_max_scc_size) (fun s v -> s.st_max_scc_size <- v);
+    row "invalidations" (fun s -> s.st_invalidations) (fun s v -> s.st_invalidations <- v);
+    row "repairs" (fun s -> s.st_repairs) (fun s v -> s.st_repairs <- v);
+    row "folds" (fun s -> s.st_folds) (fun s v -> s.st_folds <- v);
+    row "steps" (fun s -> s.st_steps) (fun s v -> s.st_steps <- v);
+  ]
+
+(* a top-level loop, not [List.iter] over a closure capturing [st]:
+   ABOLISH resets on every request, and this must not allocate *)
+let rec zero_rows st = function
+  | [] -> ()
+  | r :: rest ->
+      r.set st 0;
+      zero_rows st rest
+
+(* in place: the record is shared by live references ([Engine.stats]
+   hands it out once) *)
+let reset_stats st = zero_rows st stat_rows
+
+let pp_stats ppf st = List.iter (fun r -> Fmt.pf ppf "%s: %d@." r.key (r.get st)) stat_rows
+
+let pp_stats_line ppf st =
+  Fmt.pf ppf "%s@."
+    (String.concat " " (List.map (fun r -> Printf.sprintf "%s=%d" r.key (r.get st)) stat_rows))
 
 type env = {
   db : Database.t;
@@ -865,35 +880,16 @@ let table_bytes_by_pred env =
   Hashtbl.fold (fun pred bytes rows -> (pred, bytes) :: rows) acc []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-(* the statistics record as a [name = value] list *)
+(* the counter table plus table-space figures as a [name = value] list *)
 let stats_term env =
-  let st = env.stats in
   let pair name v = Term.app "=" [ Term.Atom name; Term.Int v ] in
   Term.list_
-    [
-      pair "subgoals" st.st_subgoals;
-      pair "answers" st.st_answers;
-      pair "dup_answers" st.st_dup_answers;
-      pair "suspensions" st.st_suspensions;
-      pair "resumptions" st.st_resumptions;
-      pair "resolutions" st.st_resolutions;
-      pair "neg_suspensions" st.st_neg_suspensions;
-      pair "nested_evals" st.st_nested_evals;
-      pair "completions" st.st_completions;
-      pair "subsumed_calls" st.st_subsumed_calls;
-      pair "subsumption_hits" st.st_subsumption_hits;
-      pair "answers_filtered" st.st_answers_filtered;
-      pair "sccs_completed" st.st_sccs_completed;
-      pair "early_completions" st.st_early_completions;
-      pair "max_scc_size" st.st_max_scc_size;
-      pair "invalidations" st.st_invalidations;
-      pair "repairs" st.st_repairs;
-      pair "folds" st.st_folds;
-      pair "steps" st.st_steps;
-      pair "tables" (Canon.Tbl.length env.tables);
-      pair "table_bytes" (table_space_bytes env);
-      pair "call_index_bytes" (call_index_bytes env);
-    ]
+    (List.map (fun r -> pair r.key (r.get env.stats)) stat_rows
+    @ [
+        pair "tables" (Canon.Tbl.length env.tables);
+        pair "table_bytes" (table_space_bytes env);
+        pair "call_index_bytes" (call_index_bytes env);
+      ])
 
 let sorted_tables env =
   Canon.Tbl.fold (fun _ sub acc -> sub :: acc) env.tables []

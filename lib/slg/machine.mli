@@ -158,13 +158,29 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+type stat_row = { key : string; get : stats -> int; set : stats -> int -> unit }
+(** One counter of {!stats}: its key (the [kind] label of the METRICS
+    [xsb_engine_stat] series), its getter and its setter. *)
+
+val stat_rows : stat_row list
+(** The counter table, one row per {!stats} field. Every stats surface
+    is generated from it — {!reset_stats}, {!pp_stats},
+    {!pp_stats_line}, [statistics/1] and [Engine.publish_metrics] — so
+    they report the same counters under the same keys, in this order. *)
+
 val reset_stats : stats -> unit
 (** Zero every counter in place (the record is shared by live
     references). Called by {!abolish_tables} so an engine reset cannot
-    leak counters into the next run's measurements. *)
+    leak counters into the next run's measurements. Does not
+    allocate. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-(** The [statistics/0] report, one counter per line. *)
+(** The [statistics/0] and server [STATISTICS] report: one [key: value]
+    line per row of {!stat_rows}. *)
+
+val pp_stats_line : Format.formatter -> stats -> unit
+(** The CLI [--stats] report: [key=value] for every row of
+    {!stat_rows}, space-separated on one line. *)
 
 type env = {
   db : Database.t;

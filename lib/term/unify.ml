@@ -66,14 +66,20 @@ let variant t u =
   in
   go t u
 
-let instance_of trail ~instance ~general =
+(* One-sided matching. A general variable is bound through a side map,
+   never destructively, so instance variables stay frozen: a repeated
+   general variable must meet an identical ([==/2]) instance subterm. *)
+let instance_of ~instance ~general =
+  let seen = Hashtbl.create 8 in
   let rec go general instance =
     let general = deref general and instance = deref instance in
     match (general, instance) with
-    | Var v, Var w when v == w -> true
-    | Var v, instance ->
-        bind trail v instance;
-        true
+    | Var v, instance -> (
+        match Hashtbl.find_opt seen v.vid with
+        | Some first -> Term.equal first instance
+        | None ->
+            Hashtbl.add seen v.vid instance;
+            true)
     | _, Var _ -> false
     | Atom a, Atom b -> String.equal a b
     | Int i, Int j -> Int.equal i j
@@ -86,7 +92,4 @@ let instance_of trail ~instance ~general =
         all 0
     | _ -> false
   in
-  let m = Trail.mark trail in
-  let ok = go general instance in
-  Trail.undo_to trail m;
-  ok
+  go general instance

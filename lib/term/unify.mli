@@ -10,7 +10,7 @@ val variant : Term.t -> Term.t -> bool
 (** True when the two terms are equal up to a renaming of variables. Does
     not bind anything. *)
 
-val instance_of : Trail.t -> instance:Term.t -> general:Term.t -> bool
+val instance_of : instance:Term.t -> general:Term.t -> bool
 (** One-sided matching: true when [instance] is an instance of [general].
-    Bindings (only of [general]'s variables) are undone before
-    returning. *)
+    Binds nothing: [general]'s variables are matched through a side map
+    and [instance]'s are treated as constants. *)

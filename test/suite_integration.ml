@@ -162,9 +162,9 @@ let cases =
         List.iter
           (fun h ->
             let s = session ("win(X) :- move(X,Y), \\+ win(Y).\n" ^ binary_tree_moves h) in
-            Engine.set_count_calls (Session.engine s) true;
+            Engine.set_profiling (Session.engine s) true;
             ignore (Session.succeeds s "win(1)");
-            let calls = Engine.call_count (Session.engine s) "win" 1 in
+            let calls = Obs.Metrics.calls (Engine.metrics (Session.engine s)) "win" 1 in
             let n = h - 1 in
             let expected = (1 lsl ((n / 2) + 2)) - 3 + (if n mod 2 = 1 then 1 else 0) in
             check_int (Printf.sprintf "G at height %d" h) expected calls)

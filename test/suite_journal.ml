@@ -231,11 +231,11 @@ let lifecycle_cases =
             let j2 = J.open_ (J.default_config ~dir) db2 in
             check_string "identical state" (fingerprint db) (fingerprint db2);
             check_bool "records replayed" true ((J.stats j2).J.recovered_records > 0);
-            check_bool "stats json has the generation" true
-              (let s = Xsb.Json.to_string (J.stats_json j2) in
+            check_bool "stats report has the generation" true
+              (let s = Fmt.str "%a" J.pp_stats j2 in
                String.length s > 0
                &&
-               let re = "generation" in
+               let re = "journal_generation: " in
                let rec find k =
                  k + String.length re <= String.length s
                  && (String.sub s k (String.length re) = re || find (k + 1))

@@ -256,13 +256,13 @@ let profile_cases =
         Session.set_profiling s true;
         check_int "4 answers" 4 (Session.count s "path(1,X)");
         Session.set_profiling s false;
-        let before = Engine.call_count (Session.engine s) "path" 2 in
+        let before = Obs.Metrics.calls (Engine.metrics (Session.engine s)) "path" 2 in
         check_int "cached table" 4 (Session.count s "path(1,X)");
         check_int "no sampling while disabled" before
-          (Engine.call_count (Session.engine s) "path" 2);
+          (Obs.Metrics.calls (Engine.metrics (Session.engine s)) "path" 2);
         Session.set_profiling s true;
         check_int "re-enabling resets the registry" 0
-          (Engine.call_count (Session.engine s) "path" 2));
+          (Obs.Metrics.calls (Engine.metrics (Session.engine s)) "path" 2));
   ]
 
 (* --- satellite (b): counters survive nothing — abolish resets stats --- *)

@@ -658,22 +658,24 @@ let scheduler_and_stats_cases =
         Format.pp_print_flush ppf ();
         Alcotest.(check string) "golden"
           "subgoals: 3\n\
-           answers: 14 (dups 2)\n\
+           answers: 14\n\
+           dup_answers: 2\n\
            suspensions: 0\n\
            resumptions: 0\n\
            resolutions: 25\n\
-           negative suspensions: 0\n\
-           nested evaluations: 0\n\
+           neg_suspensions: 0\n\
+           nested_evals: 0\n\
            completions: 0\n\
-           answer index probes: 4\n\
-           answer index candidates: 9 (of 36 stored)\n\
-           subsumed calls: 0\n\
-           subsumption hits: 0\n\
-           answers filtered: 0\n\
-           drains scheduled: 0\n\
-           sccs completed: 0\n\
-           early completions: 0\n\
-           max scc size: 0\n\
+           answer_probes: 4\n\
+           answer_candidates: 9\n\
+           answer_full_size: 36\n\
+           subsumed_calls: 0\n\
+           subsumption_hits: 0\n\
+           answers_filtered: 0\n\
+           drains_scheduled: 0\n\
+           sccs_completed: 0\n\
+           early_completions: 0\n\
+           max_scc_size: 0\n\
            invalidations: 0\n\
            repairs: 0\n\
            folds: 0\n\
@@ -693,6 +695,82 @@ let scheduler_and_stats_cases =
         in
         check_bool "has resolutions line" true (contains text "resolutions: ");
         check_bool "no double spaces" false (contains text "  "));
+    t "stat table covers every stats field" `Quick (fun () ->
+        (* a field added to [Machine.stats] without a [stat_rows] row is
+           not reset, so this literal stays nonzero somewhere *)
+        let st =
+          {
+            Machine.st_subgoals = 1;
+            st_answers = 2;
+            st_dup_answers = 3;
+            st_suspensions = 4;
+            st_resumptions = 5;
+            st_resolutions = 6;
+            st_neg_suspensions = 7;
+            st_nested_evals = 8;
+            st_completions = 9;
+            st_answer_probes = 10;
+            st_answer_candidates = 11;
+            st_answer_full_size = 12;
+            st_subsumed_calls = 13;
+            st_subsumption_hits = 14;
+            st_answers_filtered = 15;
+            st_drains_scheduled = 16;
+            st_sccs_completed = 17;
+            st_early_completions = 18;
+            st_max_scc_size = 19;
+            st_invalidations = 20;
+            st_repairs = 21;
+            st_folds = 22;
+            st_steps = 23;
+          }
+        in
+        check_int "one row per field" 23 (List.length Machine.stat_rows);
+        Machine.reset_stats st;
+        check_bool "reset equals fresh" true (st = Machine.fresh_stats ());
+        let before = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          Machine.reset_stats st
+        done;
+        check_bool "reset does not allocate" true (Gc.minor_words () -. before < 1000.));
+    t "every stats surface lists the table's keys in order" `Quick (fun () ->
+        let keys = List.map (fun (r : Machine.stat_row) -> r.key) Machine.stat_rows in
+        let s = session (tc_program (cycle 4)) in
+        check_int "4 answers" 4 (Session.count s "path(1,X)");
+        let before_eq text =
+          match String.index_opt text '=' with Some i -> String.sub text 0 i | None -> text
+        in
+        let statistics_keys =
+          match Session.query s "statistics(S)" with
+          | [ { Engine.bindings = [ ("S", term) ]; _ } ] ->
+              List.map
+                (fun pair ->
+                  match Term.deref pair with
+                  | Term.Struct ("=", [| k; _ |]) -> Term.to_string k
+                  | _ -> Alcotest.fail "statistics/1 element is not Key = Value")
+                (Option.get (Term.to_list term))
+          | _ -> Alcotest.fail "statistics/1 must yield exactly one solution"
+        in
+        Alcotest.(check (list string))
+          "statistics/1" (keys @ [ "tables"; "table_bytes"; "call_index_bytes" ])
+          statistics_keys;
+        let reg = Metrics.create () in
+        Engine.publish_metrics (Session.engine s) reg;
+        let metric_kinds =
+          List.filter_map
+            (fun line ->
+              let prefix = "xsb_engine_stat{kind=\"" in
+              let n = String.length prefix in
+              if String.length line > n && String.sub line 0 n = prefix then
+                Some (String.sub line n (String.index_from line n '"' - n))
+              else None)
+            (String.split_on_char '\n' (Metrics.to_text reg))
+        in
+        Alcotest.(check (list string)) "xsb_engine_stat kinds" keys metric_kinds;
+        let line = Fmt.str "%a" Machine.pp_stats_line (Session.stats s) in
+        Alcotest.(check (list string))
+          "--stats keys" keys
+          (List.map before_eq (String.split_on_char ' ' (String.trim line))));
     t "abolish_all_tables mid-evaluation keeps in-use tables" `Quick (fun () ->
         (* abolishing from inside a derivation must not detach the tables
            the running evaluation still owns *)

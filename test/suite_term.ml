@@ -66,15 +66,18 @@ let cases =
           (Unify.variant (parse "f(X,X)") (parse "f(A,B)"));
         check_bool "ground" true (Unify.variant (parse "f(a,1)") (parse "f(a,1)")));
     t "instance_of" `Quick (fun () ->
-        let trail = fresh_trail () in
-        check_bool "instance" true
-          (Unify.instance_of trail ~instance:(parse "f(a,b)") ~general:(parse "f(X,Y)"));
-        check_bool "not instance" false
-          (Unify.instance_of trail ~instance:(parse "f(X,b)") ~general:(parse "f(a,Y)"));
-        check_bool "shared general" false
-          (Unify.instance_of trail ~instance:(parse "f(a,b)") ~general:(parse "f(X,X)"));
-        check_bool "shared ok" true
-          (Unify.instance_of trail ~instance:(parse "f(a,a)") ~general:(parse "f(X,X)")));
+        let instance_of instance general =
+          Unify.instance_of ~instance:(parse instance) ~general:(parse general)
+        in
+        check_bool "instance" true (instance_of "f(a,b)" "f(X,Y)");
+        check_bool "not instance" false (instance_of "f(X,b)" "f(a,Y)");
+        check_bool "shared general" false (instance_of "f(a,b)" "f(X,X)");
+        check_bool "shared ok" true (instance_of "f(a,a)" "f(X,X)");
+        (* the repeated X first meets the instance variable A; A must
+           stay frozen, not be bound to f by the second X *)
+        check_bool "instance variables are frozen" false
+          (instance_of "p(f(A,3,f))" "p(f(X,Y,X))");
+        check_bool "repeated instance variable" true (instance_of "p(f(A,3,A))" "p(f(X,Y,X))"));
     t "canon variants share keys" `Quick (fun () ->
         let k1 = Canon.of_term (parse "path(X,Y,X)") in
         let k2 = Canon.of_term (parse "path(A,B,A)") in
@@ -152,33 +155,39 @@ let cases =
 
 let props =
   let open QCheck2 in
+  let print_pair = Print.pair Generators.term_print Generators.term_print in
   [
-    Test.make ~name:"unify: a term unifies with its copy" ~count:200 Generators.term_gen (fun t ->
+    Test.make ~name:"unify: a term unifies with its copy" ~count:200 ~print:Generators.term_print
+      Generators.term_gen (fun t ->
         let t = Term.copy t in
         let trail = fresh_trail () in
         let ok = Unify.unify trail (Term.copy t) (Term.copy t) in
         Trail.undo_to trail 0;
         ok);
-    Test.make ~name:"canon: equal keys iff variant" ~count:200
+    Test.make ~name:"canon: equal keys iff variant" ~count:200 ~print:print_pair
       (QCheck2.Gen.pair Generators.term_gen Generators.term_gen) (fun (a, b) ->
         let a = Term.copy a and b = Term.copy b in
         Canon.equal (Canon.of_term a) (Canon.of_term b) = Unify.variant a b);
-    Test.make ~name:"copy is variant" ~count:200 Generators.term_gen (fun t ->
+    Test.make ~name:"copy is variant" ~count:200 ~print:Generators.term_print Generators.term_gen
+      (fun t ->
         let t = Term.copy t in
         Unify.variant t (Term.copy t));
-    Test.make ~name:"compare: antisymmetry and equality" ~count:200
+    Test.make ~name:"compare: antisymmetry and equality" ~count:200 ~print:print_pair
       (QCheck2.Gen.pair Generators.term_gen Generators.term_gen) (fun (a, b) ->
         let a = Term.copy a and b = Term.copy b in
         let c1 = Term.compare a b and c2 = Term.compare b a in
         (c1 = 0) = (c2 = 0) && (c1 < 0) = (c2 > 0));
-    Test.make ~name:"canon roundtrip is variant" ~count:200 Generators.term_gen (fun t ->
+    Test.make ~name:"canon roundtrip is variant" ~count:200 ~print:Generators.term_print
+      Generators.term_gen (fun t ->
         let t = Term.copy t in
         Unify.variant t (Canon.to_term (Canon.of_term t)));
-    Test.make ~name:"unify then canon keys equal" ~count:200
+    Test.make ~name:"unify then canon keys equal" ~count:200 ~print:print_pair
       (QCheck2.Gen.pair Generators.term_gen Generators.term_gen) (fun (a, b) ->
         let a = Term.copy a and b = Term.copy b in
         let trail = fresh_trail () in
-        let ok = Unify.unify trail a b in
+        (* finite unifiers only: without the occurs check a cyclic
+           binding makes [Canon.of_term] loop *)
+        let ok = Unify.unify ~occurs_check:true trail a b in
         let result = (not ok) || Canon.equal (Canon.of_term a) (Canon.of_term b) in
         Trail.undo_to trail 0;
         result);
