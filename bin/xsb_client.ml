@@ -127,16 +127,8 @@ let host =
 let port = Arg.(value & opt int 4994 & info [ "p"; "port" ] ~docv:"PORT" ~doc:"Server port.")
 
 let hostport_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p > 0 && p < 65536 -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad port in %S (expected HOST:PORT)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad address %S (expected HOST:PORT)" s))
-  in
-  Arg.conv (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+  let parse s = Result.map_error (fun m -> `Msg m) (Xsb_repl.Role.endpoint_of_string s) in
+  Arg.conv (parse, fun ppf ep -> Format.pp_print_string ppf (Xsb_repl.Role.endpoint_to_string ep))
 
 let endpoints =
   Arg.(

@@ -5,7 +5,7 @@
 let stop_requested = Atomic.make false
 
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
-    profile data_dir sync group_commit_ms group_commit_batch compact_bytes keep_generations
+    data_dir sync group_commit_ms group_commit_batch compact_bytes keep_generations
     repl_port replica_of sync_standbys sync_timeout_ms auto_promote promote_priority
     failover_timeout_ms peers no_metrics slow_ms slow_log =
   let open_log = function
@@ -35,7 +35,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       preload;
       scheduling;
       access_log = log_channel;
-      profile;
       data_dir;
       sync;
       compact_bytes;
@@ -91,7 +90,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
       done;
       Fmt.pr "draining...@.";
       Xsb_server.Server.stop server;
-      if profile then Fmt.pr "%a" (fun ppf () -> Xsb_server.Server.pp_profile ppf server) ();
       Fmt.pr "served %d requests@." (Xsb_server.Server.requests_served server);
       (match log_channel with
       | Some oc when oc != stdout -> close_out oc
@@ -157,13 +155,6 @@ let access_log =
     & info [ "access-log" ] ~docv:"FILE"
         ~doc:"Write one JSON object per request to \\$(docv) ('-' for stdout).")
 
-let profile =
-  Arg.(
-    value & flag
-    & info [ "profile" ]
-        ~doc:"Aggregate per-predicate request counts, answers, steps and wall time; print the \
-              report at shutdown.")
-
 let sync_conv =
   let parse s =
     match Xsb.Journal.sync_policy_of_string s with
@@ -226,16 +217,8 @@ let keep_generations =
            standbys following across a rotation. Forced to at least 1 when replication is on.")
 
 let hostport_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | Some i when i > 0 && i < String.length s - 1 -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-        | Some p when p > 0 && p < 65536 -> Ok (host, p)
-        | _ -> Error (`Msg (Printf.sprintf "bad port in %S (expected HOST:PORT)" s)))
-    | _ -> Error (`Msg (Printf.sprintf "bad address %S (expected HOST:PORT)" s))
-  in
-  Arg.conv (parse, fun ppf (h, p) -> Format.fprintf ppf "%s:%d" h p)
+  let parse s = Result.map_error (fun m -> `Msg m) (Xsb_repl.Role.endpoint_of_string s) in
+  Arg.conv (parse, fun ppf ep -> Format.pp_print_string ppf (Xsb_repl.Role.endpoint_to_string ep))
 
 let repl_port =
   Arg.(
@@ -342,7 +325,7 @@ let cmd =
     (Cmd.info "xsb_serverd" ~doc)
     Term.(
       const main $ host $ port $ workers $ queue $ timeout_ms $ max_steps $ max_answers $ preload
-      $ scheduling $ access_log $ profile $ data_dir $ sync $ group_commit_ms $ group_commit_batch
+      $ scheduling $ access_log $ data_dir $ sync $ group_commit_ms $ group_commit_batch
       $ compact_bytes $ keep_generations $ repl_port $ replica_of $ sync_standbys
       $ sync_timeout_ms $ auto_promote $ promote_priority $ failover_timeout_ms $ peers
       $ no_metrics $ slow_ms $ slow_log)

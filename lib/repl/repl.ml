@@ -101,11 +101,6 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
-(* (gen, off) ordering: generations are totally ordered and offsets
-   within one generation are byte offsets of the same file bytes *)
-let pos_ge (g1, o1) (g2, o2) =
-  Int64.compare g1 g2 > 0 || (Int64.equal g1 g2 && o1 >= o2)
-
 (* the streamer's failpoint site: [Short_write n] ships the first [n]
    bytes of the frame (header line included) and then "crashes" the
    connection — a torn DATA/SNAP the standby must survive *)
@@ -228,7 +223,7 @@ module Primary = struct
     Hashtbl.fold
       (fun _ r n ->
         match !r with
-        | Some si when pos_ge (si.si_ack_gen, si.si_ack_off) (gen, off) -> n + 1
+        | Some si when Role.compare_position (si.si_ack_gen, si.si_ack_off) (gen, off) >= 0 -> n + 1
         | _ -> n)
       t.slots 0
 
@@ -275,7 +270,7 @@ module Primary = struct
             (* the handshake already fenced the epoch for this connection *)
             let g, o = parse_pos g o in
             Mutex.lock t.slots_m;
-            if pos_ge (g, o) (si.si_ack_gen, si.si_ack_off) then begin
+            if Role.compare_position (g, o) (si.si_ack_gen, si.si_ack_off) >= 0 then begin
               si.si_ack_gen <- g;
               si.si_ack_off <- o
             end;
@@ -363,8 +358,7 @@ module Primary = struct
     then begin
       let inside_fence =
         match Xsb.Journal.epoch_fence t.journal hello_epoch with
-        | Some (fg, fo) ->
-            Int64.compare hello_gen fg < 0 || (Int64.equal hello_gen fg && hello_off <= fo)
+        | Some fence -> Role.compare_position (hello_gen, hello_off) fence <= 0
         | None -> false
       in
       if not inside_fence then begin

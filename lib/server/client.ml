@@ -34,9 +34,9 @@ let promote t = simple t (Protocol.request Protocol.Promote "")
 
 (* --- failover discovery (the ROLE op) --- *)
 
-type role = Primary_role | Standby_role
+type role = Xsb_repl.Role.kind = Primary_role | Standby_role
 
-type role_info = {
+type role_info = Xsb_repl.Role.info = {
   role : role;
   epoch : int64;
   generation : int64;
@@ -45,58 +45,11 @@ type role_info = {
   priority : int;
   read_only : bool;
   peers : (string * int) list;
-  fatal : string option;  (* standby only: why the applier parked *)
+  fatal : string option;
 }
 
-let parse_hostport s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-      let host = String.sub s 0 i in
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some port when host <> "" && port > 0 && port < 65536 -> Some (host, port)
-      | _ -> None)
-
-(* one "key: value" line per row; unknown keys are ignored so the
-   payload can grow without breaking old clients *)
-let role_info_of_payload payload =
-  let kv =
-    String.split_on_char '\n' payload
-    |> List.filter_map (fun line ->
-           match String.index_opt line ':' with
-           | None -> None
-           | Some i ->
-               let k = String.sub line 0 i in
-               let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-               Some (k, v))
-  in
-  let get k = List.assoc_opt k kv in
-  let int64_of k d = match get k with Some v -> Option.value (Int64.of_string_opt v) ~default:d | None -> d in
-  let int_of k d = match get k with Some v -> Option.value (int_of_string_opt v) ~default:d | None -> d in
-  {
-    role = (match get "role" with Some "primary" -> Primary_role | _ -> Standby_role);
-    epoch = int64_of "epoch" 0L;
-    generation = int64_of "generation" 0L;
-    offset = int_of "offset" 0;
-    repl_port =
-      (match get "repl_port" with
-      | Some v when v <> "-" -> int_of_string_opt v
-      | _ -> None);
-    priority = int_of "priority" 0;
-    read_only = get "read_only" = Some "yes";
-    peers =
-      (match get "peers" with
-      | Some v -> String.split_on_char ',' v |> List.filter_map parse_hostport
-      | None -> []);
-    fatal = (match get "fatal" with Some "-" | None -> None | Some m -> Some m);
-  }
-
 let role_payload t = simple t (Protocol.request Protocol.Role "")
-
-let role t =
-  match role_payload t with
-  | Ok payload -> Ok (role_info_of_payload payload)
-  | Error e -> Error e
+let role t = Result.map Xsb_repl.Role.of_payload (role_payload t)
 
 (* connect, ask ROLE, close — [None] on any failure. The failover
    monitor and endpoint discovery probe dead nodes constantly; a probe
@@ -110,22 +63,12 @@ let probe_role ?host port =
       | Ok info -> Some info
       | Error _ | (exception _) -> None)
 
-(* Probe every endpoint and pick the writable primary on the highest
-   epoch — the node a failed-over client should talk to. *)
-let discover_primary endpoints =
+let probe_roles endpoints =
   List.filter_map
-    (fun (host, port) ->
-      match probe_role ~host port with
-      | Some info when info.role = Primary_role && not info.read_only ->
-          Some ((host, port), info)
-      | _ -> None)
+    (fun (host, port) -> Option.map (fun info -> ((host, port), info)) (probe_role ~host port))
     endpoints
-  |> List.fold_left
-       (fun best ((_, info) as cand) ->
-         match best with
-         | Some (_, b) when Int64.compare b.epoch info.epoch >= 0 -> best
-         | _ -> Some cand)
-       None
+
+let discover_primary endpoints = Xsb_repl.Role.writable_primary (probe_roles endpoints)
 
 (* --- bounded retry with exponential backoff and full jitter --- *)
 

@@ -44,21 +44,21 @@ val promote : t -> (string, reply_error) result
 
 (** {1 Failover discovery (the ROLE op)} *)
 
-type role = Primary_role | Standby_role
+type role = Xsb_repl.Role.kind = Primary_role | Standby_role
 
-type role_info = {
+type role_info = Xsb_repl.Role.info = {
   role : role;
-  epoch : int64;  (** failover fencing epoch of the node's timeline *)
-  generation : int64;  (** journal position: durable (primary) or applied (standby) *)
+  epoch : int64;
+  generation : int64;
   offset : int;
-  repl_port : int option;  (** the replication feed, when serving one *)
-  priority : int;  (** [--promote-priority]; lower promotes first *)
+  repl_port : int option;
+  priority : int;
   read_only : bool;
-  peers : (string * int) list;  (** the node's [--peers] topology list *)
+  peers : (string * int) list;
   fatal : string option;
-      (** standby only: why its applier parked (e.g. fenced after a
-          split brain) *)
 }
+(** {!Xsb_repl.Role.info}, re-exported so callers need not name the
+    replication library. *)
 
 val role : t -> (role_info, reply_error) result
 (** Ask the node who it is. Never refused for being read-only — fenced
@@ -66,22 +66,22 @@ val role : t -> (role_info, reply_error) result
     to the new primary. *)
 
 val role_payload : t -> (string, reply_error) result
-(** The raw ROLE payload ("key: value" lines) — what [xsb_client --role]
-    prints, greppable by scripts. *)
-
-val role_info_of_payload : string -> role_info
-(** Parse a raw ROLE payload ("key: value" lines); unknown keys are
-    ignored. *)
+(** The raw ROLE payload ({!Xsb_repl.Role.to_payload}'s "key: value"
+    lines) — what [xsb_client --role] prints, greppable by scripts. *)
 
 val probe_role : ?host:string -> int -> role_info option
 (** Connect, ask {!role}, close — [None] on any failure (refused,
     unreachable, malformed). Safe against dead nodes by construction. *)
 
+val probe_roles : (string * int) list -> ((string * int) * role_info) list
+(** {!probe_role} every endpoint; the ones that answered, in order. *)
+
 val discover_primary : (string * int) list -> ((string * int) * role_info) option
-(** Probe every endpoint and return the writable primary with the
-    highest epoch, with the endpoint it answered on — the node a
-    failed-over client should re-dial. [None] when no writable primary
-    answered (election still in progress: retry). *)
+(** {!probe_roles}, then {!Xsb_repl.Role.writable_primary}: the
+    writable primary with the highest epoch, with the endpoint it
+    answered on — the node a failed-over client should re-dial. [None]
+    when no writable primary answered (election still in progress:
+    retry). *)
 
 type query_outcome =
   | Rows of { rows : string list; truncated : bool }

@@ -4,6 +4,8 @@
    of workers pulling from a bounded queue. See server.mli and
    DESIGN.md §8 for the architecture. *)
 
+module Role = Xsb_repl.Role
+
 type config = {
   host : string;
   port : int;
@@ -17,7 +19,6 @@ type config = {
   preload : string list;
   scheduling : Xsb.Machine.scheduling option;
   access_log : out_channel option;
-  profile : bool;
   data_dir : string option;
   sync : Xsb.Journal.sync_policy;
   compact_bytes : int;
@@ -49,7 +50,6 @@ let default_config =
     preload = [];
     scheduling = None;
     access_log = None;
-    profile = false;
     data_dir = None;
     sync = Xsb.Journal.Always;
     compact_bytes = 8 * 1024 * 1024;
@@ -151,9 +151,6 @@ type conn = {
   c_m : Mutex.t;
   c_done : Condition.t;
   mutable c_job_done : bool;
-  (* group commit defers the ack: while [Some], replies buffer here and
-     flush only after the commit barrier says the batch is durable *)
-  mutable c_defer : Protocol.reply list option;
 }
 
 type job = {
@@ -175,14 +172,6 @@ type shared = {
   mutable sh_read_only : string option;  (* why mutations are refused *)
 }
 
-(* per-key (predicate or op) server-side aggregation for --profile *)
-type agg_cell = {
-  mutable g_requests : int;
-  mutable g_answers : int;
-  mutable g_steps : int;
-  mutable g_wall : float;
-}
-
 type t = {
   cfg : config;
   shared : shared option;
@@ -199,8 +188,6 @@ type t = {
   conn_counter : int Atomic.t;
   served : int Atomic.t;
   log_m : Mutex.t;
-  agg : (string, agg_cell) Hashtbl.t;
-  agg_m : Mutex.t;
   registry : Xsb.Metrics.t;
   requests_total : Xsb.Metrics.Counter.t;
   op_hists : (string * Xsb.Metrics.Histogram.t) list;
@@ -230,6 +217,39 @@ let epoch t =
   match t.repl_standby with
   | Some s -> Some (Xsb_repl.Repl.Standby.status s).Xsb_repl.Repl.Standby.epoch
   | None -> Option.map (fun sh -> Xsb.Journal.epoch sh.sh_journal) t.shared
+
+(* this node as its ROLE reply and its failover decisions see it *)
+let self_info t =
+  let role, epoch, (generation, offset), fatal =
+    match t.repl_standby with
+    | Some s ->
+        let st = Xsb_repl.Repl.Standby.status s in
+        let open Xsb_repl.Repl.Standby in
+        (Role.Standby_role, st.epoch, (st.generation, st.applied_off), st.fatal)
+    | None -> (
+        let unknown = (Role.Primary_role, 0L, (0L, 0), None) in
+        match t.shared with
+        | None -> unknown
+        | Some sh -> (
+            try
+              ( Role.Primary_role,
+                Xsb.Journal.epoch sh.sh_journal,
+                Xsb.Journal.durable_position sh.sh_journal,
+                None )
+            with _ -> unknown))
+  in
+  {
+    Role.role;
+    epoch;
+    generation;
+    offset;
+    repl_port = repl_listen_port t;
+    priority = t.cfg.promote_priority;
+    read_only = read_only t <> None;
+    peers = t.cfg.peers;
+    fatal;
+  }
+
 let now () = Unix.gettimeofday ()
 
 (* Latency measurement and deadlines run on the monotonic clock, so an
@@ -270,7 +290,19 @@ let metrics_text t conn =
   | None -> ());
   Xsb.Metrics.to_text t.registry ^ Xsb.Metrics.to_text snap
 
-(* --- the access log (JSONL through lib/obs's codec) --- *)
+(* --- the access and slow-query logs (JSONL through lib/obs's codec) --- *)
+
+(* one timestamped record per line; the lock keeps lines whole when
+   both logs share a channel *)
+let write_jsonl t oc fields =
+  (* microseconds since the epoch: the codec renders floats with %.6g,
+     far too coarse for a timestamp *)
+  let ts = ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6))) in
+  let line = Xsb.Json.to_string (Xsb.Json.Obj (ts :: fields)) in
+  Mutex.protect t.log_m (fun () ->
+      output_string oc line;
+      output_char oc '\n';
+      flush oc)
 
 let log_request t ~id ~conn_id ~op ~pred ~answers ~steps ~wall ~outcome =
   Atomic.incr t.served;
@@ -279,94 +311,80 @@ let log_request t ~id ~conn_id ~op ~pred ~answers ~steps ~wall ~outcome =
   Xsb.Metrics.Counter.incr t.requests_total;
   Xsb.Metrics.Counter.incr (outcome_counter t outcome);
   Xsb.Metrics.Histogram.observe (request_hist t op) wall;
-  (match t.cfg.access_log with
-  | None -> ()
-  | Some oc ->
-      let record =
-        Xsb.Json.Obj
-          [
-            (* microseconds since the epoch: the codec renders floats
-               with %.6g, far too coarse for a timestamp *)
-            ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6)));
-            ("id", Xsb.Json.Int id);
-            ("conn", Xsb.Json.Int conn_id);
-            ("op", Xsb.Json.String op);
-            ("pred", Xsb.Json.String pred);
-            ("answers", Xsb.Json.Int answers);
-            ("steps", Xsb.Json.Int steps);
-            ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
-            ("outcome", Xsb.Json.String outcome);
-          ]
-      in
-      Mutex.lock t.log_m;
-      output_string oc (Xsb.Json.to_string record);
-      output_char oc '\n';
-      flush oc;
-      Mutex.unlock t.log_m);
-  if t.cfg.profile then begin
-    let key = if pred = "" then "op:" ^ op else pred in
-    Mutex.lock t.agg_m;
-    let cell =
-      match Hashtbl.find_opt t.agg key with
-      | Some c -> c
-      | None ->
-          let c = { g_requests = 0; g_answers = 0; g_steps = 0; g_wall = 0.0 } in
-          Hashtbl.add t.agg key c;
-          c
-    in
-    cell.g_requests <- cell.g_requests + 1;
-    cell.g_answers <- cell.g_answers + answers;
-    cell.g_steps <- cell.g_steps + steps;
-    cell.g_wall <- cell.g_wall +. wall;
-    Mutex.unlock t.agg_m
-  end
+  Option.iter
+    (fun oc ->
+      write_jsonl t oc
+        [
+          ("id", Xsb.Json.Int id);
+          ("conn", Xsb.Json.Int conn_id);
+          ("op", Xsb.Json.String op);
+          ("pred", Xsb.Json.String pred);
+          ("answers", Xsb.Json.Int answers);
+          ("steps", Xsb.Json.Int steps);
+          ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
+          ("outcome", Xsb.Json.String outcome);
+        ])
+    t.cfg.access_log
 
-let agg_rows t =
-  Mutex.lock t.agg_m;
-  let rows = Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.agg [] in
-  Mutex.unlock t.agg_m;
-  List.sort
-    (fun (_, a) (_, b) ->
-      match compare b.g_wall a.g_wall with 0 -> compare b.g_requests a.g_requests | c -> c)
-    rows
+(* --- replies --- *)
 
-let pp_profile ppf t =
-  let rows = agg_rows t in
-  Format.fprintf ppf "%-32s %10s %10s %12s %12s@." "predicate/op" "requests" "answers" "steps"
-    "wall-ms";
-  List.iter
-    (fun (key, c) ->
-      Format.fprintf ppf "%-32s %10d %10d %12d %12.3f@." key c.g_requests c.g_answers c.g_steps
-        (1000.0 *. c.g_wall))
-    rows
+let outcome_of_code = function
+  | Protocol.Timeout -> "timeout"
+  | Protocol.Parse_error -> "parse_error"
+  | Protocol.Exec_error -> "exec_error"
+  | Protocol.Bad_request -> "bad_request"
+  | Protocol.Readonly -> "readonly"
+  | Protocol.Overloaded -> "overloaded"
+  | Protocol.Shutting_down -> "shutting_down"
 
-let profile_json t =
-  Xsb.Json.List
-    (List.map
-       (fun (key, c) ->
-         Xsb.Json.Obj
-           [
-             ("key", Xsb.Json.String key);
-             ("requests", Xsb.Json.Int c.g_requests);
-             ("answers", Xsb.Json.Int c.g_answers);
-             ("steps", Xsb.Json.Int c.g_steps);
-             ("wall_ms", Xsb.Json.Float (1000.0 *. c.g_wall));
-           ])
-       (agg_rows t))
+(* a request's access-log outcome, read off the replies it produced *)
+let outcome_of replies =
+  List.fold_left
+    (fun outcome -> function
+      | Protocol.Err (code, _) -> outcome_of_code code
+      | Protocol.Done { more = true; _ } -> "truncated"
+      | _ -> outcome)
+    "ok" replies
+
+(* write a reply, tolerating a peer that vanished mid-stream: the
+   request still completes (and is logged); the handler sees EOF on its
+   next read and closes the connection *)
+let try_write conn reply =
+  try
+    Protocol.write_reply conn.c_oc reply;
+    true
+  with Sys_error _ | Unix.Unix_error _ -> false
+
+(* a request answered by one error frame without being dispatched *)
+let refuse t conn ~id ~op ~wall code msg =
+  ignore (try_write conn (Protocol.Err (code, msg)));
+  log_request t ~id ~conn_id:conn.c_id ~op ~pred:"" ~answers:0 ~steps:0 ~wall
+    ~outcome:(outcome_of_code code)
+
+let no_journal =
+  Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)")
+
+let syntax_error msg pos =
+  Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)
 
 (* --- request execution (worker side) --- *)
 
 let clamp cap n = if cap > 0 then min cap n else n
 
-let pred_of_goal goal =
+let functor_of goal =
   match Xsb.Term.deref goal with
-  | Xsb.Term.Struct (f, args) -> Printf.sprintf "%s/%d" f (Array.length args)
-  | Xsb.Term.Atom a -> a ^ "/0"
-  | _ -> ""
+  | Xsb.Term.Struct (f, args) -> Some (f, Array.length args)
+  | Xsb.Term.Atom a -> Some (a, 0)
+  | _ -> None
 
+let indicator (name, arity) = Printf.sprintf "%s/%d" name arity
+let pred_of_goal goal = Option.fold ~none:"" ~some:indicator (functor_of goal)
 let engine_steps conn = (Xsb.Session.stats conn.c_session).Xsb.Machine.st_steps
 
 (* --- promotion: replication standby -> writable primary --- *)
+
+let replica_reason (host, port) =
+  Printf.sprintf "replica of %s:%d (PROMOTE to accept writes)" host port
 
 (* a peer announced a higher failover epoch: this node was failed over
    away from while it was alive (or partitioned). Stop accepting writes
@@ -404,7 +422,7 @@ let spawn_standby t sh ~primary_host ~primary_port ~generation ~offset ~epoch =
 
 let promote t =
   match t.shared with
-  | None -> Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)")
+  | None -> no_journal
   | Some sh -> (
       Mutex.lock t.promote_m;
       Fun.protect ~finally:(fun () -> Mutex.unlock t.promote_m) @@ fun () ->
@@ -443,22 +461,11 @@ let promote t =
 (* --- automatic failover (standby side) ---
 
    A monitor thread watches the standby's last-contact clock. Once the
-   primary has been silent for [failover_timeout_ms] plus a
-   priority-staggered grace (0.5 s per priority step, so replicas don't
-   race), the standby probes every configured peer's ROLE:
-
-     - a live, writable primary with an epoch >= ours exists: the old
-       primary address is stale, not the primary itself — retarget the
-       stream at the survivor instead of promoting (split-brain
-       avoidance);
-     - a peer standby is strictly ahead of us, or tied with a lower
-       priority number: defer — it will promote, and we will discover
-       it on a later round;
-     - otherwise: self-promote (which bumps the epoch and fences the
-       old timeline). *)
-
-let pos_cmp (g1, o1) (g2, o2) =
-  match Int64.compare g1 g2 with 0 -> compare o1 o2 | c -> c
+   primary has been silent past [Role.silence_threshold], the standby
+   probes every configured peer's ROLE and carries out [Role.on_silence]:
+   retarget the stream at a live primary (split-brain avoidance), defer
+   to a better-placed peer, or self-promote (which bumps the epoch and
+   fences the old timeline). *)
 
 let retarget t ~host ~repl_port =
   Mutex.lock t.promote_m;
@@ -472,49 +479,19 @@ let retarget t ~host ~repl_port =
           (spawn_standby t sh ~primary_host:host ~primary_port:repl_port
              ~generation:st.Xsb_repl.Repl.Standby.generation
              ~offset:st.Xsb_repl.Repl.Standby.applied_off ~epoch:st.Xsb_repl.Repl.Standby.epoch);
-      sh.sh_read_only <-
-        Some (Printf.sprintf "replica of %s:%d (PROMOTE to accept writes)" host repl_port)
+      sh.sh_read_only <- Some (replica_reason (host, repl_port))
   | _ -> ()
 
-let consider_failover t standby =
-  let st = Xsb_repl.Repl.Standby.status standby in
-  let open Xsb_repl.Repl.Standby in
-  let peers =
-    List.filter (fun (h, p) -> not (h = t.cfg.host && p = t.bound_port)) t.cfg.peers
-  in
-  let infos =
-    List.filter_map
-      (fun (h, p) -> Option.map (fun i -> (h, i)) (Client.probe_role ~host:h p))
-      peers
-  in
-  let live_primary =
-    List.find_opt
-      (fun ((_, i) : string * Client.role_info) ->
-        i.Client.role = Client.Primary_role && (not i.Client.read_only)
-        && Int64.compare i.Client.epoch st.epoch >= 0)
-      infos
-  in
-  match live_primary with
-  | Some (h, i) -> (
-      match i.Client.repl_port with
-      | Some rp -> retarget t ~host:h ~repl_port:rp
-      | None -> ())
-  | None ->
-      let better ((_, i) : string * Client.role_info) =
-        i.Client.role = Client.Standby_role
-        && (Int64.compare i.Client.epoch st.epoch > 0
-           || (let c =
-                 pos_cmp (i.Client.generation, i.Client.offset) (st.generation, st.applied_off)
-               in
-               c > 0 || (c = 0 && i.Client.priority < t.cfg.promote_priority)))
-      in
-      if List.exists better infos then () (* the better candidate promotes; re-check next tick *)
-      else ignore (promote t)
+let fail_over t =
+  let peers = List.filter (fun ep -> ep <> (t.cfg.host, t.bound_port)) t.cfg.peers in
+  match Role.on_silence ~self:(self_info t) (Client.probe_roles peers) with
+  | Role.Retarget ((host, _), repl_port) -> retarget t ~host ~repl_port
+  | Role.Defer -> () (* re-checked next tick *)
+  | Role.Promote -> ignore (promote t)
 
 let failover_monitor t =
   let threshold =
-    (float_of_int t.cfg.failover_timeout_ms /. 1000.0)
-    +. (0.5 *. float_of_int t.cfg.promote_priority)
+    Role.silence_threshold ~timeout_ms:t.cfg.failover_timeout_ms ~priority:t.cfg.promote_priority
   in
   let rec loop () =
     if Atomic.get t.stopped then ()
@@ -525,7 +502,7 @@ let failover_monitor t =
           if
             st.Xsb_repl.Repl.Standby.fatal = None
             && st.Xsb_repl.Repl.Standby.seconds_since_contact > threshold
-          then ( try consider_failover t s with _ -> ())
+          then ( try fail_over t with _ -> ())
       | None -> ());
       Thread.delay 0.1;
       loop ()
@@ -544,22 +521,6 @@ let pred_indicator s =
       | Some arity when arity >= 0 -> Some (name, arity)
       | _ -> None)
 
-(* write a reply, tolerating a peer that vanished mid-stream: the
-   request still completes (and is logged); the handler sees EOF on its
-   next read and closes the connection *)
-let try_write conn reply =
-  match conn.c_defer with
-  | Some acc ->
-      (* deferred-ack mode: hold the reply until the commit barrier
-         confirms the batch is durable *)
-      conn.c_defer <- Some (reply :: acc);
-      true
-  | None -> (
-      try
-        Protocol.write_reply conn.c_oc reply;
-        true
-      with Sys_error _ | Unix.Unix_error _ -> false)
-
 let execute t (job : job) =
   let conn = job.j_conn in
   let req = job.j_req in
@@ -570,13 +531,13 @@ let execute t (job : job) =
   in
   let steps0 = engine_steps conn in
   let eng = Xsb.Session.engine conn.c_session in
-  let parse_goal text = Xsb.Parser.term_of_string ~ops:(Xsb.Database.ops (Xsb.Session.db conn.c_session)) text in
-  (* (outcome, pred, answers) for the access log *)
+  let db = Xsb.Session.db conn.c_session in
+  let parse_goal text = Xsb.Parser.term_of_string ~ops:(Xsb.Database.ops db) text in
+  (* the request's replies (rows rendered here, under the session lock)
+     and the predicate it names; nothing is written yet *)
   let dispatch () =
     match req.Protocol.op with
-    | Protocol.Ping ->
-        ignore (try_write conn (Protocol.Ok_ "pong"));
-        ("ok", "", 0)
+    | Protocol.Ping -> ([ Protocol.Ok_ "pong" ], "")
     | Protocol.Statistics ->
         let text = Fmt.str "%a" Xsb.Machine.pp_stats (Xsb.Engine.stats eng) in
         let text =
@@ -584,161 +545,90 @@ let execute t (job : job) =
           | Some sh -> text ^ Fmt.str "%a" Xsb.Journal.pp_stats sh.sh_journal
           | None -> text
         in
-        ignore (try_write conn (Protocol.Ok_ text));
-        ("ok", "", 0)
-    | Protocol.Metrics ->
-        ignore (try_write conn (Protocol.Ok_ (metrics_text t conn)));
-        ("ok", "", 0)
+        ([ Protocol.Ok_ text ], "")
+    | Protocol.Metrics -> ([ Protocol.Ok_ (metrics_text t conn) ], "")
     | Protocol.Role ->
-        (* failover discovery: who am I, which timeline, how far along,
-           and who else is in the topology. Never refused — a client
-           re-dialing after a failover needs it from every node,
-           including read-only and fenced ones. *)
-        let b = Buffer.create 128 in
-        (match t.repl_standby with
-        | Some s ->
-            let st = Xsb_repl.Repl.Standby.status s in
-            let open Xsb_repl.Repl.Standby in
-            Buffer.add_string b "role: standby\n";
-            Buffer.add_string b (Printf.sprintf "epoch: %Ld\n" st.epoch);
-            Buffer.add_string b (Printf.sprintf "generation: %Ld\n" st.generation);
-            Buffer.add_string b (Printf.sprintf "offset: %d\n" st.applied_off);
-            Buffer.add_string b
-              (Printf.sprintf "fatal: %s\n" (Option.value st.fatal ~default:"-"))
-        | None -> (
-            Buffer.add_string b "role: primary\n";
-            match t.shared with
-            | Some sh -> (
-                match
-                  ( Xsb.Journal.epoch sh.sh_journal,
-                    Xsb.Journal.durable_position sh.sh_journal )
-                with
-                | exception _ -> Buffer.add_string b "epoch: 0\ngeneration: 0\noffset: 0\n"
-                | e, (g, o) ->
-                    Buffer.add_string b (Printf.sprintf "epoch: %Ld\n" e);
-                    Buffer.add_string b (Printf.sprintf "generation: %Ld\n" g);
-                    Buffer.add_string b (Printf.sprintf "offset: %d\n" o))
-            | None -> Buffer.add_string b "epoch: 0\ngeneration: 0\noffset: 0\n"));
-        (match repl_listen_port t with
-        | Some p -> Buffer.add_string b (Printf.sprintf "repl_port: %d\n" p)
-        | None -> Buffer.add_string b "repl_port: -\n");
-        Buffer.add_string b (Printf.sprintf "priority: %d\n" t.cfg.promote_priority);
-        Buffer.add_string b
-          (Printf.sprintf "read_only: %s\n" (if read_only t <> None then "yes" else "no"));
-        Buffer.add_string b
-          (Printf.sprintf "peers: %s\n"
-             (String.concat ","
-                (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) t.cfg.peers)));
-        ignore (try_write conn (Protocol.Ok_ (Buffer.contents b)));
-        ("ok", "", 0)
+        (* failover discovery. Never refused — a client re-dialing after
+           a failover needs it from every node, including read-only and
+           fenced ones. *)
+        ([ Protocol.Ok_ (Role.to_payload (self_info t)) ], "")
     | Protocol.Promote ->
-        (* handled before the shared lock (see [finishing]); reaching
-           the dispatcher means there is no shared state to promote *)
-        ignore
-          (try_write conn
-             (Protocol.Err (Protocol.Bad_request, "server has no journal (start with --data-dir)")));
-        ("bad_request", "", 0)
+        (* dispatched outside the shared lock (see below): promotion
+           joins the standby applier, which itself takes [sh_m] *)
+        ([ promote t ], "")
     | Protocol.Sync -> (
         match t.shared with
-        | None ->
-            ignore
-              (try_write conn
-                 (Protocol.Err
-                    (Protocol.Bad_request, "server has no journal (start with --data-dir)")));
-            ("bad_request", "", 0)
+        | None -> ([ no_journal ], "")
         | Some sh ->
             Xsb.Journal.sync sh.sh_journal;
-            ignore
-              (try_write conn
-                 (Protocol.Ok_
-                    (Printf.sprintf "synced %d" (Xsb.Journal.durable_bytes sh.sh_journal))));
-            ("ok", "", 0))
+            ( [
+                Protocol.Ok_
+                  (Printf.sprintf "synced %d" (Xsb.Journal.durable_bytes sh.sh_journal));
+              ],
+              "" ))
     | Protocol.Abolish when req.Protocol.payload <> "" -> (
         match pred_indicator req.Protocol.payload with
         | None ->
-            ignore
-              (try_write conn
-                 (Protocol.Err
-                    ( Protocol.Bad_request,
-                      Printf.sprintf "bad predicate indicator %S (expected name/arity)"
-                        req.Protocol.payload )));
-            ("bad_request", "", 0)
+            ( [
+                Protocol.Err
+                  ( Protocol.Bad_request,
+                    Printf.sprintf "bad predicate indicator %S (expected name/arity)"
+                      req.Protocol.payload );
+              ],
+              "" )
         | Some (name, arity) ->
-            Xsb.Database.remove_pred (Xsb.Session.db conn.c_session) name arity;
-            ignore (try_write conn (Protocol.Ok_ "removed"));
-            ("ok", Printf.sprintf "%s/%d" name arity, 0))
+            Xsb.Database.remove_pred db name arity;
+            ([ Protocol.Ok_ "removed" ], indicator (name, arity)))
     | Protocol.Abolish ->
         Xsb.Engine.reset_tables eng;
-        ignore (try_write conn (Protocol.Ok_ "abolished"));
-        ("ok", "", 0)
+        ([ Protocol.Ok_ "abolished" ], "")
     | Protocol.Consult -> (
-        let loaded verb n =
-          ignore (try_write conn (Protocol.Ok_ (Printf.sprintf "%s %d" verb n)));
-          ("ok", "", n)
-        in
-        let parse_failed msg =
-          ignore (try_write conn (Protocol.Err (Protocol.Parse_error, msg)));
-          ("parse_error", "", 0)
-        in
-        try
+        let text = req.Protocol.payload in
+        let parse_failed msg = ([ Protocol.Err (Protocol.Parse_error, msg) ], "") in
+        match
           match req.Protocol.fmt with
-          | Protocol.Text ->
-              loaded "consulted" (Xsb.Engine.consult_string_count eng req.Protocol.payload)
-          | Protocol.Fast ->
-              loaded "loaded" (Xsb.Fast_load.string_ (Xsb.Session.db conn.c_session) req.Protocol.payload)
-          | Protocol.Obj ->
-              loaded "loaded" (Xsb.Obj_file.load_string (Xsb.Session.db conn.c_session) req.Protocol.payload)
+          | Protocol.Text -> ("consulted", Xsb.Engine.consult_string_count eng text)
+          | Protocol.Fast -> ("loaded", Xsb.Fast_load.string_ db text)
+          | Protocol.Obj -> ("loaded", Xsb.Obj_file.load_string db text)
         with
-        | Xsb.Parser.Error (msg, pos) -> parse_failed (Printf.sprintf "syntax error at %d: %s" pos msg)
-        | Xsb.Lexer.Error (msg, pos) -> parse_failed (Printf.sprintf "lexical error at %d: %s" pos msg)
-        | Xsb.Loader.Load_error msg -> parse_failed msg
-        | Xsb.Fast_load.Syntax (msg, pos) -> parse_failed (Printf.sprintf "fast-load error at %d: %s" pos msg)
-        | Xsb.Obj_file.Bad_object_file msg -> parse_failed ("bad object file: " ^ msg)
-        | Failure msg -> parse_failed msg)
+        | verb, n -> ([ Protocol.Ok_ (Printf.sprintf "%s %d" verb n) ], "")
+        | exception Xsb.Parser.Error (msg, pos) ->
+            parse_failed (Printf.sprintf "syntax error at %d: %s" pos msg)
+        | exception Xsb.Lexer.Error (msg, pos) ->
+            parse_failed (Printf.sprintf "lexical error at %d: %s" pos msg)
+        | exception Xsb.Loader.Load_error msg -> parse_failed msg
+        | exception Xsb.Fast_load.Syntax (msg, pos) ->
+            parse_failed (Printf.sprintf "fast-load error at %d: %s" pos msg)
+        | exception Xsb.Obj_file.Bad_object_file msg -> parse_failed ("bad object file: " ^ msg)
+        | exception Failure msg -> parse_failed msg)
     | Protocol.Assert -> (
         try
-          let db = Xsb.Session.db conn.c_session in
           let clause = parse_goal req.Protocol.payload in
+          let head, _ = Xsb.Database.clause_parts clause in
           (* a runtime ASSERT creates a dynamic predicate, like
              assert/1 — so incremental tables can track it precisely
              instead of conservatively invalidating on every write *)
-          let head, _ = Xsb.Database.clause_parts clause in
-          (match Xsb.Term.deref head with
-          | Xsb.Term.Atom name -> ignore (Xsb.Database.set_dynamic db name 0)
-          | Xsb.Term.Struct (name, args) ->
-              ignore (Xsb.Database.set_dynamic db name (Array.length args))
-          | _ -> ());
+          let key = functor_of head in
+          Option.iter (fun (name, arity) -> ignore (Xsb.Database.set_dynamic db name arity)) key;
           ignore (Xsb.Database.add_clause db clause);
-          ignore (try_write conn (Protocol.Ok_ "asserted"));
-          let head, _ = Xsb.Database.clause_parts clause in
-          ("ok", pred_of_goal head, 0)
+          ([ Protocol.Ok_ "asserted" ], Option.fold ~none:"" ~some:indicator key)
         with
         | Xsb.Parser.Error (msg, pos) | Xsb.Lexer.Error (msg, pos) ->
-            ignore
-              (try_write conn
-                 (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)));
-            ("parse_error", "", 0)
-        | Failure msg ->
-            ignore (try_write conn (Protocol.Err (Protocol.Parse_error, msg)));
-            ("parse_error", "", 0))
+            ([ syntax_error msg pos ], "")
+        | Failure msg -> ([ Protocol.Err (Protocol.Parse_error, msg) ], ""))
     | Protocol.Query -> (
         match parse_goal req.Protocol.payload with
         | exception (Xsb.Parser.Error (msg, pos) | Xsb.Lexer.Error (msg, pos)) ->
-            ignore
-              (try_write conn
-                 (Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)));
-            ("parse_error", "", 0)
+            ([ syntax_error msg pos ], "")
         | goal -> (
             let pred = pred_of_goal goal in
             let deadline_passed () =
               match job.j_deadline with Some d -> !monotonic () >= d | None -> false
             in
-            if deadline_passed () then begin
+            if deadline_passed () then
               (* spent its whole deadline waiting in the queue *)
-              ignore (try_write conn (Protocol.Err (Protocol.Timeout, "deadline exceeded in queue")));
-              ("timeout", pred, 0)
-            end
-            else begin
+              ([ Protocol.Err (Protocol.Timeout, "deadline exceeded in queue") ], pred)
+            else
               let budget =
                 match req.Protocol.max_steps with
                 | Some n when n > 0 -> clamp t.cfg.max_steps_cap n
@@ -749,12 +639,12 @@ let execute t (job : job) =
                 | Some n when n > 0 -> clamp t.cfg.max_answers n
                 | _ -> t.cfg.max_answers
               in
-              let stream_answers solutions =
-                List.fold_left
-                  (fun n s ->
-                    let text = Fmt.str "%a" (Xsb.Session.pp_solution conn.c_session) s in
-                    if try_write conn (Protocol.Answer text) then n + 1 else n)
-                  0 solutions
+              let rows =
+                List.map (fun s ->
+                    Protocol.Answer (Fmt.str "%a" (Xsb.Session.pp_solution conn.c_session) s))
+              in
+              let stream ~more solutions =
+                rows solutions @ [ Protocol.Done { count = List.length solutions; more } ]
               in
               match
                 Xsb.Engine.run_bounded
@@ -764,35 +654,28 @@ let execute t (job : job) =
                   eng goal
               with
               | `Answers solutions ->
-                  let n = stream_answers solutions in
-                  ignore (try_write conn (Protocol.Done { count = n; more = false }));
-                  ("ok", pred, n)
+                  (stream ~more:false solutions, pred)
               | `Truncated solutions ->
                   (* the stop poll can overshoot by a few answers; hold
                      the stream to the requested row count *)
                   let solutions =
                     if limit > 0 then List.filteri (fun i _ -> i < limit) solutions else solutions
                   in
-                  let n = stream_answers solutions in
-                  ignore (try_write conn (Protocol.Done { count = n; more = true }));
-                  ("truncated", pred, n)
+                  (stream ~more:true solutions, pred)
               | `Timeout solutions ->
-                  let n = stream_answers solutions in
-                  let reason = if deadline_passed () then "deadline exceeded" else "step budget exhausted" in
-                  ignore (try_write conn (Protocol.Err (Protocol.Timeout, reason)));
-                  ("timeout", pred, n)
+                  let reason =
+                    if deadline_passed () then "deadline exceeded" else "step budget exhausted"
+                  in
+                  (rows solutions @ [ Protocol.Err (Protocol.Timeout, reason) ], pred)
               | exception Xsb.Machine.Step_limit ->
                   (* an engine-wide set_max_steps bound, not ours *)
-                  ignore (try_write conn (Protocol.Err (Protocol.Timeout, "engine step limit")));
-                  ("timeout", pred, 0)
+                  ([ Protocol.Err (Protocol.Timeout, "engine step limit") ], pred)
               | exception (Xsb.Journal.Io_error _ as e) ->
                   (* an assert/1 inside the query hit the dead journal;
                      let the read-only degradation below handle it *)
                   raise e
               | exception e ->
-                  ignore (try_write conn (Protocol.Err (Protocol.Exec_error, Printexc.to_string e)));
-                  ("exec_error", pred, 0)
-            end))
+                  ([ Protocol.Err (Protocol.Exec_error, Printexc.to_string e) ], pred)))
   in
   let mutating =
     match req.Protocol.op with
@@ -802,142 +685,108 @@ let execute t (job : job) =
     | Protocol.Promote | Protocol.Role ->
         false
   in
-  let refuse_readonly reason =
-    ignore (try_write conn (Protocol.Err (Protocol.Readonly, "server is read-only: " ^ reason)));
-    ("readonly", "", 0)
-  in
-  let finishing =
-    match req.Protocol.op with
-    | Protocol.Promote ->
-        (* promotion joins the standby applier, which itself takes
-           [sh_m] per record — run it outside the shared lock *)
-        let reply = promote t in
-        let outcome =
-          match reply with
-          | Protocol.Ok_ _ -> "ok"
-          | Protocol.Err (Protocol.Exec_error, _) -> "exec_error"
-          | _ -> "bad_request"
+  let replies, pred =
+    match t.shared with
+    | Some sh when req.Protocol.op <> Protocol.Promote -> (
+        let refuse_readonly reason =
+          ([ Protocol.Err (Protocol.Readonly, "server is read-only: " ^ reason) ], "")
         in
-        ignore (try_write conn reply);
-        (outcome, "", 0)
-    | _ -> (
-        match t.shared with
-        | None -> dispatch ()
-        | Some sh -> (
-            match sh.sh_read_only with
-            | Some reason when mutating -> refuse_readonly reason
-            | _ -> (
-                (* Under a group-commit policy a mutation's ack must not
-                   leave before its batch's fsync — but the fsync wait
-                   must happen OUTSIDE the session lock, or batches
-                   could never span connections. So: buffer the replies,
-                   run the mutation (the journal hook only enqueues),
-                   release [sh_m], then block on the commit barrier and
-                   flush the ack. *)
-                (* semi-synchronous commit rides the same deferred-ack
-                   machinery as group commit: the reply waits behind the
-                   local fsync barrier AND K standby acks *)
-                let semi_sync = t.cfg.sync_standbys > 0 && t.repl_primary <> None in
-                let defer =
-                  mutating
-                  && ((match t.cfg.sync with Xsb.Journal.Group _ -> true | _ -> false)
-                     || semi_sync)
-                in
-                if defer then conn.c_defer <- Some [];
-                let degrade site message =
-                  conn.c_defer <- None;
-                  (* the disk write path is gone; keep serving reads *)
-                  let reason = Printf.sprintf "journal write failed at %s: %s" site message in
-                  sh.sh_read_only <- Some reason;
-                  refuse_readonly reason
-                in
-                (* one durable session for every connection: serialize *)
-                Mutex.lock sh.sh_m;
-                match Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_m) dispatch with
-                | finishing ->
-                    if defer then begin
-                      match Xsb.Journal.barrier sh.sh_journal with
-                      | () ->
-                          (* locally durable; now wait for K standbys
-                             (or degrade to async on timeout — writers
-                             must never freeze on a dead standby) *)
-                          (match (t.repl_primary, semi_sync) with
-                          | Some prim, true ->
-                              let g, o = Xsb.Journal.durable_position sh.sh_journal in
-                              ignore
-                                (Xsb_repl.Repl.Primary.wait_synced prim ~k:t.cfg.sync_standbys
-                                   ~gen:g ~off:o
-                                   ~timeout_s:(float_of_int t.cfg.sync_timeout_ms /. 1000.0))
-                          | _ -> ());
-                          let held = List.rev (Option.value conn.c_defer ~default:[]) in
-                          conn.c_defer <- None;
-                          List.iter (fun reply -> ignore (try_write conn reply)) held;
-                          finishing
-                      | exception Xsb.Journal.Io_error { site; message } ->
-                          (* the batch never became durable: withdraw
-                             the buffered ack and report the demotion *)
-                          degrade site message
-                    end
-                    else finishing
-                | exception Xsb.Journal.Io_error { site; message } -> degrade site message)))
+        match sh.sh_read_only with
+        | Some reason when mutating -> refuse_readonly reason
+        | _ -> (
+            (* Under a group-commit policy a mutation's ack must not
+               leave before its batch's fsync — but the fsync wait must
+               happen OUTSIDE the session lock, or batches could never
+               span connections. So: run the mutation (the journal hook
+               only enqueues), release [sh_m], then block on the commit
+               barrier before the replies are written. Semi-synchronous
+               commit rides the same path: the ack waits behind the
+               local fsync barrier AND K standby acks. *)
+            let semi_sync = t.cfg.sync_standbys > 0 && t.repl_primary <> None in
+            let defer =
+              mutating
+              && ((match t.cfg.sync with Xsb.Journal.Group _ -> true | _ -> false) || semi_sync)
+            in
+            let degrade site message =
+              (* the disk write path is gone; keep serving reads. A
+                 deferred ack is withdrawn: its batch never became
+                 durable. *)
+              let reason = Printf.sprintf "journal write failed at %s: %s" site message in
+              sh.sh_read_only <- Some reason;
+              refuse_readonly reason
+            in
+            (* one durable session for every connection: serialize *)
+            Mutex.lock sh.sh_m;
+            match Fun.protect ~finally:(fun () -> Mutex.unlock sh.sh_m) dispatch with
+            | exception Xsb.Journal.Io_error { site; message } -> degrade site message
+            | result when not defer -> result
+            | result -> (
+                match Xsb.Journal.barrier sh.sh_journal with
+                | exception Xsb.Journal.Io_error { site; message } -> degrade site message
+                | () ->
+                    (* locally durable; now wait for K standbys (or
+                       degrade to async on timeout — writers must never
+                       freeze on a dead standby) *)
+                    (match t.repl_primary with
+                    | Some prim when semi_sync ->
+                        let g, o = Xsb.Journal.durable_position sh.sh_journal in
+                        ignore
+                          (Xsb_repl.Repl.Primary.wait_synced prim ~k:t.cfg.sync_standbys ~gen:g
+                             ~off:o ~timeout_s:(float_of_int t.cfg.sync_timeout_ms /. 1000.0))
+                    | _ -> ());
+                    result)))
+    | _ -> dispatch ()
   in
-  let outcome, pred, answers = finishing in
+  (* the one write site, outside [sh_m]; answers = ANSWER frames delivered *)
+  let answers =
+    List.fold_left
+      (fun n reply ->
+        let delivered = try_write conn reply in
+        match reply with Protocol.Answer _ when delivered -> n + 1 | _ -> n)
+      0 replies
+  in
+  let outcome = outcome_of replies in
   let wall = !monotonic () -. t0 in
   let steps = engine_steps conn - steps0 in
-  log_request t ~id:job.j_id ~conn_id:conn.c_id
-    ~op:(Protocol.op_name req.Protocol.op)
-    ~pred ~answers ~steps ~wall ~outcome;
+  let op = Protocol.op_name req.Protocol.op in
+  log_request t ~id:job.j_id ~conn_id:conn.c_id ~op ~pred ~answers ~steps ~wall ~outcome;
   (* the slow-query log: a structured line per request over --slow-ms,
      correlated to the access log by request id, carrying the engine's
      per-request work delta *)
   if t.cfg.slow_ms > 0 && wall *. 1000.0 >= float_of_int t.cfg.slow_ms then
-    match t.cfg.slow_log with
-    | None -> ()
-    | Some oc ->
+    Option.iter
+      (fun oc ->
         let subgoals0, answers0, subs0 = stats0 in
         let s = Xsb.Session.stats conn.c_session in
         let goal = req.Protocol.payload in
-        let goal =
-          if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal
-        in
-        let record =
-          Xsb.Json.Obj
-            [
-              ("ts_us", Xsb.Json.Int (int_of_float (now () *. 1e6)));
-              ("id", Xsb.Json.Int job.j_id);
-              ("conn", Xsb.Json.Int conn.c_id);
-              ("op", Xsb.Json.String (Protocol.op_name req.Protocol.op));
-              ("goal", Xsb.Json.String goal);
-              ("pred", Xsb.Json.String pred);
-              ("outcome", Xsb.Json.String outcome);
-              ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
-              ("steps", Xsb.Json.Int steps);
-              ("subgoals", Xsb.Json.Int (s.Xsb.Machine.st_subgoals - subgoals0));
-              ("engine_answers", Xsb.Json.Int (s.Xsb.Machine.st_answers - answers0));
-              ( "subsumption_hits",
-                Xsb.Json.Int (s.Xsb.Machine.st_subsumption_hits - subs0) );
-              ("answers", Xsb.Json.Int answers);
-            ]
-        in
-        Mutex.lock t.log_m;
-        output_string oc (Xsb.Json.to_string record);
-        output_char oc '\n';
-        flush oc;
-        Mutex.unlock t.log_m
+        let goal = if String.length goal > 512 then String.sub goal 0 512 ^ "..." else goal in
+        write_jsonl t oc
+          [
+            ("id", Xsb.Json.Int job.j_id);
+            ("conn", Xsb.Json.Int conn.c_id);
+            ("op", Xsb.Json.String op);
+            ("goal", Xsb.Json.String goal);
+            ("pred", Xsb.Json.String pred);
+            ("outcome", Xsb.Json.String outcome);
+            ("wall_us", Xsb.Json.Int (int_of_float (wall *. 1e6)));
+            ("steps", Xsb.Json.Int steps);
+            ("subgoals", Xsb.Json.Int (s.Xsb.Machine.st_subgoals - subgoals0));
+            ("engine_answers", Xsb.Json.Int (s.Xsb.Machine.st_answers - answers0));
+            ("subsumption_hits", Xsb.Json.Int (s.Xsb.Machine.st_subsumption_hits - subs0));
+            ("answers", Xsb.Json.Int answers);
+          ])
+      t.cfg.slow_log
 
 (* catch-all so one poisoned request can never kill a worker *)
 let execute_safe t job =
   Atomic.incr t.in_flight;
   (try Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight) (fun () -> execute t job)
    with e ->
-     ignore
-       (try_write job.j_conn
-          (Protocol.Err (Protocol.Exec_error, "internal error: " ^ Printexc.to_string e)));
-     log_request t ~id:job.j_id ~conn_id:job.j_conn.c_id
+     refuse t job.j_conn ~id:job.j_id
        ~op:(Protocol.op_name job.j_req.Protocol.op)
-       ~pred:"" ~answers:0 ~steps:0
        ~wall:(!monotonic () -. job.j_received)
-       ~outcome:"exec_error");
+       Protocol.Exec_error
+       ("internal error: " ^ Printexc.to_string e));
   let conn = job.j_conn in
   Mutex.lock conn.c_m;
   conn.c_job_done <- true;
@@ -968,24 +817,14 @@ let close_conn t conn =
   Hashtbl.remove t.conns conn.c_id;
   Mutex.unlock t.conns_m
 
-let refuse t conn req code msg outcome =
-  ignore (try_write conn (Protocol.Err (code, msg)));
-  log_request t
-    ~id:(Atomic.fetch_and_add t.req_counter 1 + 1)
-    ~conn_id:conn.c_id
-    ~op:(Protocol.op_name req.Protocol.op)
-    ~pred:"" ~answers:0 ~steps:0 ~wall:0.0 ~outcome
-
 let handler_loop t conn =
+  let next_id () = Atomic.fetch_and_add t.req_counter 1 + 1 in
   let rec loop () =
     match Protocol.read_request conn.c_ic with
     | exception End_of_file -> ()
     | exception Protocol.Bad_frame msg ->
         (* framing is broken: reply if possible, then drop the link *)
-        ignore (try_write conn (Protocol.Err (Protocol.Bad_request, msg)));
-        log_request t
-          ~id:(Atomic.fetch_and_add t.req_counter 1 + 1)
-          ~conn_id:conn.c_id ~op:"?" ~pred:"" ~answers:0 ~steps:0 ~wall:0.0 ~outcome:"bad_request"
+        refuse t conn ~id:(next_id ()) ~op:"?" ~wall:0.0 Protocol.Bad_request msg
     | exception (Sys_error _ | Unix.Unix_error _) -> ()
     | req ->
         let received = !monotonic () in
@@ -999,12 +838,15 @@ let handler_loop t conn =
         in
         let job =
           {
-            j_id = Atomic.fetch_and_add t.req_counter 1 + 1;
+            j_id = next_id ();
             j_conn = conn;
             j_req = req;
             j_received = received;
             j_deadline = deadline;
           }
+        in
+        let refuse_job =
+          refuse t conn ~id:job.j_id ~op:(Protocol.op_name req.Protocol.op) ~wall:0.0
         in
         conn.c_job_done <- false;
         (match Bqueue.push t.queue job with
@@ -1014,9 +856,8 @@ let handler_loop t conn =
               Condition.wait conn.c_done conn.c_m
             done;
             Mutex.unlock conn.c_m
-        | Bqueue.Full -> refuse t conn req Protocol.Overloaded "request queue is full" "overloaded"
-        | Bqueue.Stopping ->
-            refuse t conn req Protocol.Shutting_down "server is draining" "shutting_down");
+        | Bqueue.Full -> refuse_job Protocol.Overloaded "request queue is full"
+        | Bqueue.Stopping -> refuse_job Protocol.Shutting_down "server is draining");
         loop ()
   in
   loop ();
@@ -1043,7 +884,6 @@ let make_conn t fd =
     c_m = Mutex.create ();
     c_done = Condition.create ();
     c_job_done = true;
-    c_defer = None;
   }
 
 let acceptor_loop t =
@@ -1114,10 +954,10 @@ let start cfg =
         let journal = Xsb.Journal.open_ (journal_config cfg dir) (Xsb.Session.db session) in
         let read_only =
           match cfg.replica_of with
-          | Some (host, port) ->
+          | Some primary ->
               (* a standby's journal is written by the replication
                  applier, never by local mutations — don't attach *)
-              Some (Printf.sprintf "replica of %s:%d (PROMOTE to accept writes)" host port)
+              Some (replica_reason primary)
           | None ->
               Xsb.Journal.attach ~deferred:true journal;
               None
@@ -1198,8 +1038,6 @@ let start cfg =
       conn_counter = Atomic.make 0;
       served = Atomic.make 0;
       log_m = Mutex.create ();
-      agg = Hashtbl.create 16;
-      agg_m = Mutex.create ();
       registry;
       requests_total;
       op_hists;

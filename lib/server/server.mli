@@ -29,7 +29,6 @@ type config = {
   access_log : out_channel option;
       (** one JSON object per request: ts, id, conn, op, pred, answers,
           steps, wall_us, outcome *)
-  profile : bool;  (** aggregate per-predicate server-side (see {!pp_profile}) *)
   data_dir : string option;
       (** durable mode: every connection shares ONE session whose
           mutations are journaled here and recovered on restart.
@@ -86,7 +85,7 @@ type config = {
 
 val default_config : config
 (** Loopback, port 0, 4 workers, queue 64, 5 s / 10 M step budgets,
-    no preload, no log, no profile; metrics on, slow-query log off. *)
+    no preload, no log; metrics on, slow-query log off. *)
 
 type t
 
@@ -138,9 +137,3 @@ val monotonic : (unit -> float) ref
 (** The clock used for latency measurement and deadlines —
     {!Xsb.Mclock.now} by default, a ref so tests can inject a fake.
     Wall-clock time is used only for log timestamps. *)
-
-val pp_profile : Format.formatter -> t -> unit
-(** The [--profile] aggregate: per predicate (queries) and per op,
-    request count, answers, steps and wall time, hottest first. *)
-
-val profile_json : t -> Xsb.Json.t

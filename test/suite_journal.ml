@@ -843,6 +843,35 @@ let server_cases =
                       (List.length (rows_of (Client.query c "edge(X,Y)")));
                     ignore (ok (Client.assert_ c "edge(9,9)")))));
         F.reset ());
+    t "group commit: a failed batch fsync withdraws the deferred ack" `Quick (fun () ->
+        F.reset ();
+        let cfg dir = { (durable_cfg dir) with Server.sync = J.default_group } in
+        let holds c fact = rows_of (Client.query c fact) = [ "true" ] in
+        with_dir (fun dir ->
+            with_server ~cfg:(cfg dir) (fun server ->
+                with_client server (fun c ->
+                    ignore (ok (Client.assert_ c "edge(1,2)"));
+                    ignore (ok (Client.assert_ c "edge(2,3)"));
+                    (* nothing left in flight: the next fsync is the
+                       refused write's own batch *)
+                    ignore (ok (Client.sync c));
+                    F.arm "journal.append.sync" F.Fail;
+                    (match Client.assert_ c "edge(3,4)" with
+                    | Error { Client.code = Protocol.Readonly; _ } -> ()
+                    | Error { Client.code; _ } ->
+                        Alcotest.failf "wrong code %s" (Protocol.err_code_name code)
+                    | Ok _ -> Alcotest.fail "acked a write whose batch never became durable");
+                    check_bool "server flagged read-only" true (Server.read_only server <> None);
+                    check_bool "queries still served" true (holds c "edge(1,2)")));
+            F.reset ();
+            (* the refused fact's bytes reached the file before the fsync
+               failed, so recovery may replay it: only the acked ones are
+               promised *)
+            with_server ~cfg:(cfg dir) (fun server ->
+                with_client server (fun c ->
+                    check_bool "first acked fact recovered" true (holds c "edge(1,2)");
+                    check_bool "second acked fact recovered" true (holds c "edge(2,3)"))));
+        F.reset ());
   ]
 
 (* --- incremental tables on the durable server --- *)

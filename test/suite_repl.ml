@@ -104,6 +104,154 @@ let metric_value text name =
              float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
          | _ -> None)
 
+(* --- the pure failover logic: ROLE payloads and Role decisions, no
+   sockets --- *)
+
+module Role = Xsb_repl.Role
+
+let role_info ?(role = Role.Standby_role) ?(epoch = 2L) ?(pos = (3L, 500)) ?repl_port
+    ?(priority = 1) ?(read_only = false) ?(peers = []) ?fatal () =
+  {
+    Role.role;
+    epoch;
+    generation = fst pos;
+    offset = snd pos;
+    repl_port;
+    priority;
+    read_only;
+    peers;
+    fatal;
+  }
+
+let primary ?(epoch = 2L) ?repl_port ?(read_only = false) () =
+  role_info ~role:Role.Primary_role ~epoch ?repl_port ~read_only ()
+
+let action =
+  Alcotest.testable
+    (fun ppf -> function
+      | Role.Retarget ((h, p), rp) -> Format.fprintf ppf "Retarget (%s:%d, %d)" h p rp
+      | Role.Defer -> Format.pp_print_string ppf "Defer"
+      | Role.Promote -> Format.pp_print_string ppf "Promote")
+    ( = )
+
+(* ROLE payloads captured from a running primary/standby pair: scripts
+   and deployed clients grep these lines, so the rendering must not
+   drift by a byte *)
+let parent_primary_payload =
+  "role: primary\n\
+   epoch: 1\n\
+   generation: 1\n\
+   offset: 119\n\
+   repl_port: 47012\n\
+   priority: 0\n\
+   read_only: no\n\
+   peers: 127.0.0.1:47013,10.0.0.2:5000\n"
+
+let parent_standby_payload =
+  "role: standby\n\
+   epoch: 1\n\
+   generation: 1\n\
+   offset: 119\n\
+   fatal: -\n\
+   repl_port: -\n\
+   priority: 2\n\
+   read_only: yes\n\
+   peers: 127.0.0.1:47011\n"
+
+let role_cases =
+  [
+    t "Role: payload round trips" `Quick (fun () ->
+        List.iter
+          (fun (what, i) ->
+            check_bool what true (Role.of_payload (Role.to_payload i) = i))
+          [
+            ("primary", primary ~repl_port:7001 ());
+            ("healthy standby", role_info ~read_only:true ());
+            ( "fenced standby",
+              role_info ~read_only:true ~fatal:"fenced: epoch 1 position 1/40 diverged" () );
+            ("no repl_port", primary ~read_only:true ());
+            ( "several peers",
+              role_info ~peers:[ ("127.0.0.1", 4001); ("db-2.local", 4002); ("::1", 4003) ] () );
+          ]);
+    t "Role: rendering is byte-identical to the pre-Role server" `Quick (fun () ->
+        Alcotest.(check string)
+          "primary" parent_primary_payload
+          (Role.to_payload
+             {
+               (role_info ~role:Role.Primary_role ~epoch:1L ~pos:(1L, 119) ~repl_port:47012
+                  ~priority:0 ())
+               with
+               Role.peers = [ ("127.0.0.1", 47013); ("10.0.0.2", 5000) ];
+             });
+        Alcotest.(check string)
+          "standby" parent_standby_payload
+          (Role.to_payload
+             (role_info ~epoch:1L ~pos:(1L, 119) ~priority:2 ~read_only:true
+                ~peers:[ ("127.0.0.1", 47011) ]
+                ())));
+    t "Role.on_silence: the failover decision table" `Quick (fun () ->
+        let self = role_info () in
+        let ep n = ("10.0.0." ^ string_of_int n, 4000 + n) in
+        let decide what expected probes =
+          Alcotest.check action what expected
+            (Role.on_silence ~self (List.mapi (fun n i -> (ep n, i)) probes))
+        in
+        decide "writable primary, same epoch, feed -> retarget" (Role.Retarget (ep 0, 9000))
+          [ primary ~repl_port:9000 () ];
+        decide "writable primary, newer epoch -> retarget" (Role.Retarget (ep 0, 9000))
+          [ primary ~epoch:3L ~repl_port:9000 () ];
+        decide "several writable primaries -> the highest epoch" (Role.Retarget (ep 1, 9001))
+          [ primary ~repl_port:9000 (); primary ~epoch:5L ~repl_port:9001 () ];
+        decide "writable primary without a feed -> defer" Role.Defer [ primary () ];
+        decide "lower-epoch primary ignored" Role.Promote [ primary ~epoch:1L ~repl_port:9000 () ];
+        decide "read-only primary ignored" Role.Promote
+          [ primary ~repl_port:9000 ~read_only:true () ];
+        decide "standby on a higher epoch -> defer" Role.Defer
+          [ role_info ~epoch:3L ~pos:(1L, 0) () ];
+        decide "standby further along, same epoch -> defer" Role.Defer
+          [ role_info ~pos:(3L, 501) () ];
+        decide "standby on a later generation -> defer" Role.Defer [ role_info ~pos:(4L, 0) () ];
+        decide "standby behind -> promote" Role.Promote [ role_info ~pos:(3L, 499) () ];
+        decide "tie, lower priority number on the peer -> defer" Role.Defer
+          [ role_info ~priority:0 () ];
+        decide "tie, higher priority number on the peer -> promote" Role.Promote
+          [ role_info ~priority:2 () ];
+        decide "no peers -> promote" Role.Promote []);
+    t "Role.writable_primary: skips read-only, picks the highest epoch" `Quick (fun () ->
+        let pick probes =
+          Option.map (fun ((_, p), _) -> p)
+            (Role.writable_primary (List.mapi (fun n i -> (("h", n + 1), i)) probes))
+        in
+        let check_pick what expected probes =
+          Alcotest.(check (option int)) what expected (pick probes)
+        in
+        check_pick "read-only primary and standby skipped" None
+          [ primary ~read_only:true (); role_info () ];
+        check_pick "highest epoch wins" (Some 2)
+          [ primary ~epoch:2L (); primary ~epoch:4L (); primary ~epoch:3L () ];
+        check_pick "a read-only primary on a higher epoch loses" (Some 1)
+          [ primary ~epoch:2L (); primary ~epoch:9L ~read_only:true () ];
+        check_pick "first probed wins a tie" (Some 1) [ primary (); primary () ]);
+    t "Role.silence_threshold: 0.5 s per priority step" `Quick (fun () ->
+        let th priority = Role.silence_threshold ~timeout_ms:3000 ~priority in
+        Alcotest.(check (float 1e-9)) "priority 0" 3.0 (th 0);
+        Alcotest.(check (float 1e-9)) "priority 1" 3.5 (th 1);
+        Alcotest.(check (float 1e-9)) "priority 4" 5.0 (th 4));
+    t "Role: positions and endpoints" `Quick (fun () ->
+        check_bool "generation dominates" true (Role.compare_position (2L, 0) (1L, 900) > 0);
+        check_bool "offset within a generation" true (Role.compare_position (1L, 5) (1L, 9) < 0);
+        check_int "equal" 0 (Role.compare_position (1L, 9) (1L, 9));
+        let parse = Alcotest.(check (result (pair string int) string)) in
+        parse "host:port" (Ok ("db-1", 4994)) (Role.endpoint_of_string "db-1:4994");
+        parse "last colon splits" (Ok ("::1", 80)) (Role.endpoint_of_string "::1:80");
+        parse "port range" (Error "bad port in \"h:65536\" (expected HOST:PORT)")
+          (Role.endpoint_of_string "h:65536");
+        parse "no host" (Error "bad address \":80\" (expected HOST:PORT)")
+          (Role.endpoint_of_string ":80");
+        parse "no port" (Error "bad address \"h\" (expected HOST:PORT)")
+          (Role.endpoint_of_string "h"));
+  ]
+
 let suite =
   [
     t "standby follows live writes and serves the same answers" `Quick (fun () ->
@@ -481,3 +629,4 @@ let suite =
               [ 0; 3 ])
           cases);
   ]
+  @ role_cases
