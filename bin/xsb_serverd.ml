@@ -5,7 +5,7 @@
 let stop_requested = Atomic.make false
 
 let main host port workers queue timeout_ms max_steps max_answers preload scheduling access_log
-    data_dir sync group_commit_ms group_commit_batch compact_bytes keep_generations
+    data_dir sync compact_bytes keep_generations
     repl_port replica_of sync_standbys sync_timeout_ms auto_promote promote_priority
     failover_timeout_ms peers no_metrics slow_ms slow_log =
   let open_log = function
@@ -15,13 +15,6 @@ let main host port workers queue timeout_ms max_steps max_answers preload schedu
   in
   let log_channel = open_log access_log in
   let slow_channel = open_log slow_log in
-  (* --group-commit-ms overrides --sync: it IS a sync policy *)
-  let sync =
-    match group_commit_ms with
-    | None -> sync
-    | Some ms ->
-        Xsb.Journal.Group { window_us = ms * 1000; max_batch = group_commit_batch }
-  in
   let cfg =
     {
       Xsb_server.Server.default_config with
@@ -110,15 +103,20 @@ let port =
     & info [ "p"; "port" ] ~docv:"PORT" ~doc:"TCP port; 0 picks an ephemeral one.")
 
 let workers =
-  Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc:"Worker threads in the pool.")
+  Arg.(
+    value & opt int 4
+    & info [ "workers" ] ~docv:"N"
+        ~doc:
+          "At most N requests execute at once; each runs on the thread of the connection that \
+           sent it.")
 
 let queue =
   Arg.(
     value & opt int 64
     & info [ "queue" ] ~docv:"N"
         ~doc:
-          "Bounded request-queue capacity; a request arriving when the queue is full is \
-           answered OVERLOADED instead of being buffered.")
+          "At most N requests wait for admission, admitted in arrival order; a request arriving \
+           when N are already waiting is answered OVERLOADED instead of being buffered.")
 
 let timeout_ms =
   Arg.(
@@ -183,22 +181,6 @@ let sync =
         ~doc:
           "Journal fsync policy: never, interval[=N] (every N records), always, or \
            group[=MS[,BATCH]] (group commit: one fsync per batch).")
-
-let group_commit_ms =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "group-commit-ms" ] ~docv:"MS"
-        ~doc:
-          "Group commit: batch concurrent writers for up to \\$(docv) milliseconds and fsync \
-           the whole batch once (acks wait for the batch fsync, so durability is unchanged). \
-           Overrides --sync.")
-
-let group_commit_batch =
-  Arg.(
-    value & opt int 256
-    & info [ "group-commit-batch" ] ~docv:"N"
-        ~doc:"Max records per group-commit batch (with --group-commit-ms).")
 
 let compact_bytes =
   Arg.(
@@ -325,9 +307,8 @@ let cmd =
     (Cmd.info "xsb_serverd" ~doc)
     Term.(
       const main $ host $ port $ workers $ queue $ timeout_ms $ max_steps $ max_answers $ preload
-      $ scheduling $ access_log $ data_dir $ sync $ group_commit_ms $ group_commit_batch
-      $ compact_bytes $ keep_generations $ repl_port $ replica_of $ sync_standbys
-      $ sync_timeout_ms $ auto_promote $ promote_priority $ failover_timeout_ms $ peers
-      $ no_metrics $ slow_ms $ slow_log)
+      $ scheduling $ access_log $ data_dir $ sync $ compact_bytes $ keep_generations $ repl_port
+      $ replica_of $ sync_standbys $ sync_timeout_ms $ auto_promote $ promote_priority
+      $ failover_timeout_ms $ peers $ no_metrics $ slow_ms $ slow_log)
 
 let () = exit (Cmd.eval' cmd)

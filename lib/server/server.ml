@@ -1,8 +1,9 @@
 (* The concurrent query service. One acceptor thread; one handler
-   thread per connection (frames in, replies out, one request at a time
-   per connection so its private session is never shared); a fixed pool
-   of workers pulling from a bounded queue. See server.mli and
-   DESIGN.md §8 for the architecture. *)
+   thread per connection that reads a frame, executes the request and
+   writes its replies (one request at a time per connection, so its
+   private session is never shared); an admission gate caps how many
+   handlers execute at once. See server.mli and DESIGN.md §8 for the
+   architecture. *)
 
 module Role = Xsb_repl.Role
 
@@ -76,69 +77,85 @@ let journal_config cfg dir =
   in
   { Xsb.Journal.dir; sync = cfg.sync; compact_bytes = cfg.compact_bytes; keep_generations = keep }
 
-(* --- the bounded request queue ---
+(* --- the admission gate ---
 
-   Backpressure lives here: [push] refuses instead of growing past
-   [cap], and once [stop]ped refuses everything, so workers can drain
-   to empty and exit knowing no job will ever be added behind them. *)
-module Bqueue = struct
-  type 'a t = {
-    q : 'a Queue.t;
-    cap : int;
+   A request runs on the handler thread that read it; the gate only
+   bounds how many run at once. At most [workers] are admitted; up to
+   [capacity] more wait, admitted in arrival order (FIFO tickets);
+   beyond that an arrival is refused at once, never buffered without
+   bound. Once [close]d it admits no new arrival, but requests already
+   waiting still run, so [drain] returns only when none is active or
+   waiting. It reads no clock. *)
+module Gate = struct
+  type t = {
     m : Mutex.t;
-    nonempty : Condition.t;
-    mutable stopping : bool;
+    changed : Condition.t;  (* a slot freed, a ticket was served *)
+    workers : int;
+    capacity : int;
+    mutable active : int;
+    mutable waiting : int;
+    mutable next_ticket : int;  (* drawn by the next waiter *)
+    mutable serving : int;  (* the waiter ticket admitted next *)
+    mutable closed : bool;
   }
 
-  type push_result = Pushed | Full | Stopping
+  type admission = Admitted | Full | Stopping
 
-  let create cap = { q = Queue.create (); cap; m = Mutex.create (); nonempty = Condition.create (); stopping = false }
+  let create ~workers ~capacity =
+    {
+      m = Mutex.create ();
+      changed = Condition.create ();
+      workers;
+      capacity;
+      active = 0;
+      waiting = 0;
+      next_ticket = 0;
+      serving = 0;
+      closed = false;
+    }
 
-  let push t x =
-    Mutex.lock t.m;
-    let r =
-      if t.stopping then Stopping
-      else if Queue.length t.q >= t.cap then Full
-      else begin
-        Queue.add x t.q;
-        Condition.signal t.nonempty;
-        Pushed
-      end
-    in
-    Mutex.unlock t.m;
-    r
+  (* blocks while waiting; [Admitted] obliges the caller to [leave] *)
+  let enter g =
+    Mutex.protect g.m (fun () ->
+        if g.closed then Stopping
+        else if g.waiting = 0 && g.active < g.workers then begin
+          g.active <- g.active + 1;
+          Admitted
+        end
+        else if g.waiting >= g.capacity then Full
+        else begin
+          let ticket = g.next_ticket in
+          g.next_ticket <- ticket + 1;
+          g.waiting <- g.waiting + 1;
+          while g.serving <> ticket || g.active >= g.workers do
+            Condition.wait g.changed g.m
+          done;
+          g.serving <- ticket + 1;
+          g.waiting <- g.waiting - 1;
+          g.active <- g.active + 1;
+          (* the next ticket may fit a free slot too *)
+          Condition.broadcast g.changed;
+          Admitted
+        end)
 
-  (* blocks; [None] once stopped and drained *)
-  let pop t =
-    Mutex.lock t.m;
-    let rec wait () =
-      match Queue.take_opt t.q with
-      | Some x -> Some x
-      | None ->
-          if t.stopping then None
-          else begin
-            Condition.wait t.nonempty t.m;
-            wait ()
-          end
-    in
-    let r = wait () in
-    Mutex.unlock t.m;
-    r
+  let leave g =
+    Mutex.protect g.m (fun () ->
+        g.active <- g.active - 1;
+        Condition.broadcast g.changed)
 
-  let stop t =
-    Mutex.lock t.m;
-    t.stopping <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.m
+  let close g = Mutex.protect g.m (fun () -> g.closed <- true)
 
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
+  let drain g =
+    Mutex.protect g.m (fun () ->
+        while g.active > 0 || g.waiting > 0 do
+          Condition.wait g.changed g.m
+        done)
+
+  let active g = Mutex.protect g.m (fun () -> g.active)
+  let waiting g = Mutex.protect g.m (fun () -> g.waiting)
 end
 
-(* --- connections and jobs --- *)
+(* --- connections and requests --- *)
 
 type conn = {
   c_id : int;
@@ -146,11 +163,6 @@ type conn = {
   c_ic : in_channel;
   c_oc : out_channel;
   c_session : Xsb.Session.t;
-  (* one-slot completion latch: a connection has at most one request in
-     flight, the handler waits on it before reading the next frame *)
-  c_m : Mutex.t;
-  c_done : Condition.t;
-  mutable c_job_done : bool;
 }
 
 type job = {
@@ -179,7 +191,7 @@ type t = {
   bound_port : int;
   stop_rd : Unix.file_descr;  (* self-pipe waking the acceptor's select *)
   stop_wr : Unix.file_descr;
-  queue : job Bqueue.t;
+  gate : Gate.t;
   preload_texts : string list;
   conns : (int, conn * Thread.t) Hashtbl.t;
   conns_m : Mutex.t;
@@ -192,8 +204,6 @@ type t = {
   requests_total : Xsb.Metrics.Counter.t;
   op_hists : (string * Xsb.Metrics.Histogram.t) list;
   outcome_counters : (string * Xsb.Metrics.Counter.t) list;
-  in_flight : int Atomic.t;
-  mutable worker_threads : Thread.t list;
   mutable acceptor_thread : Thread.t option;
   (* replication roles; a standby may move from one to the other at
      promotion, serialized by [promote_m] *)
@@ -367,7 +377,7 @@ let no_journal =
 let syntax_error msg pos =
   Protocol.Err (Protocol.Parse_error, Printf.sprintf "syntax error at %d: %s" pos msg)
 
-(* --- request execution (worker side) --- *)
+(* --- request execution --- *)
 
 let clamp cap n = if cap > 0 then min cap n else n
 
@@ -626,7 +636,7 @@ let execute t (job : job) =
               match job.j_deadline with Some d -> !monotonic () >= d | None -> false
             in
             if deadline_passed () then
-              (* spent its whole deadline waiting in the queue *)
+              (* spent its whole deadline waiting for admission *)
               ([ Protocol.Err (Protocol.Timeout, "deadline exceeded in queue") ], pred)
             else
               let budget =
@@ -777,31 +787,15 @@ let execute t (job : job) =
           ])
       t.cfg.slow_log
 
-(* catch-all so one poisoned request can never kill a worker *)
+(* catch-all so one poisoned request can never kill its handler *)
 let execute_safe t job =
-  Atomic.incr t.in_flight;
-  (try Fun.protect ~finally:(fun () -> Atomic.decr t.in_flight) (fun () -> execute t job)
-   with e ->
-     refuse t job.j_conn ~id:job.j_id
-       ~op:(Protocol.op_name job.j_req.Protocol.op)
-       ~wall:(!monotonic () -. job.j_received)
-       Protocol.Exec_error
-       ("internal error: " ^ Printexc.to_string e));
-  let conn = job.j_conn in
-  Mutex.lock conn.c_m;
-  conn.c_job_done <- true;
-  Condition.signal conn.c_done;
-  Mutex.unlock conn.c_m
-
-let worker_loop t =
-  let rec loop () =
-    match Bqueue.pop t.queue with
-    | Some job ->
-        execute_safe t job;
-        loop ()
-    | None -> ()
-  in
-  loop ()
+  try execute t job
+  with e ->
+    refuse t job.j_conn ~id:job.j_id
+      ~op:(Protocol.op_name job.j_req.Protocol.op)
+      ~wall:(!monotonic () -. job.j_received)
+      Protocol.Exec_error
+      ("internal error: " ^ Printexc.to_string e)
 
 (* --- the per-connection handler --- *)
 
@@ -848,16 +842,11 @@ let handler_loop t conn =
         let refuse_job =
           refuse t conn ~id:job.j_id ~op:(Protocol.op_name req.Protocol.op) ~wall:0.0
         in
-        conn.c_job_done <- false;
-        (match Bqueue.push t.queue job with
-        | Bqueue.Pushed ->
-            Mutex.lock conn.c_m;
-            while not conn.c_job_done do
-              Condition.wait conn.c_done conn.c_m
-            done;
-            Mutex.unlock conn.c_m
-        | Bqueue.Full -> refuse_job Protocol.Overloaded "request queue is full"
-        | Bqueue.Stopping -> refuse_job Protocol.Shutting_down "server is draining");
+        (match Gate.enter t.gate with
+        | Gate.Admitted ->
+            Fun.protect ~finally:(fun () -> Gate.leave t.gate) (fun () -> execute_safe t job)
+        | Gate.Full -> refuse_job Protocol.Overloaded "request queue is full"
+        | Gate.Stopping -> refuse_job Protocol.Shutting_down "server is draining");
         loop ()
   in
   loop ();
@@ -881,9 +870,6 @@ let make_conn t fd =
     c_ic = Unix.in_channel_of_descr fd;
     c_oc = Unix.out_channel_of_descr fd;
     c_session = session;
-    c_m = Mutex.create ();
-    c_done = Condition.create ();
-    c_job_done = true;
   }
 
 let acceptor_loop t =
@@ -1029,7 +1015,7 @@ let start cfg =
       bound_port;
       stop_rd;
       stop_wr;
-      queue = Bqueue.create cfg.queue_capacity;
+      gate = Gate.create ~workers:cfg.workers ~capacity:cfg.queue_capacity;
       preload_texts;
       conns = Hashtbl.create 16;
       conns_m = Mutex.create ();
@@ -1042,8 +1028,6 @@ let start cfg =
       requests_total;
       op_hists;
       outcome_counters;
-      in_flight = Atomic.make 0;
-      worker_threads = [];
       acceptor_thread = None;
       promote_m = Mutex.create ();
       repl_primary = None;
@@ -1106,19 +1090,18 @@ let start cfg =
      close_shared ();
      raise e);
   (* liveness gauges, sampled at scrape time *)
-  Xsb.Metrics.gauge_fn registry ~help:"Requests currently executing on a worker."
-    "xsb_in_flight_requests" (fun () -> Float.of_int (Atomic.get t.in_flight));
-  Xsb.Metrics.gauge_fn registry ~help:"Requests waiting in the bounded queue."
-    "xsb_queue_depth" (fun () -> Float.of_int (Bqueue.length t.queue));
+  Xsb.Metrics.gauge_fn registry ~help:"Requests currently executing."
+    "xsb_in_flight_requests" (fun () -> Float.of_int (Gate.active t.gate));
+  Xsb.Metrics.gauge_fn registry ~help:"Requests waiting for admission."
+    "xsb_queue_depth" (fun () -> Float.of_int (Gate.waiting t.gate));
   Xsb.Metrics.gauge_fn registry ~help:"Open client connections." "xsb_connections"
     (fun () ->
       Mutex.lock t.conns_m;
       let n = Hashtbl.length t.conns in
       Mutex.unlock t.conns_m;
       Float.of_int n);
-  Xsb.Metrics.gauge_fn registry ~help:"Configured worker threads." "xsb_workers"
-    (fun () -> Float.of_int t.cfg.workers);
-  t.worker_threads <- List.init cfg.workers (fun _ -> Thread.create (fun () -> worker_loop t) ());
+  Xsb.Metrics.gauge_fn registry ~help:"Configured cap on concurrently executing requests."
+    "xsb_workers" (fun () -> Float.of_int t.cfg.workers);
   t.acceptor_thread <- Some (Thread.create (fun () -> acceptor_loop t) ());
   if cfg.auto_promote && t.repl_standby <> None then
     t.failover_thread <- Some (Thread.create (fun () -> failover_monitor t) ());
@@ -1126,14 +1109,14 @@ let start cfg =
 
 let stop t =
   if not (Atomic.exchange t.stopped true) then begin
-    (* 1. no new submissions: handlers now answer SHUTTING_DOWN *)
-    Bqueue.stop t.queue;
+    (* 1. no new admissions: handlers now answer SHUTTING_DOWN *)
+    Gate.close t.gate;
     (* 2. no new connections *)
     (try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ());
     (match t.acceptor_thread with Some th -> Thread.join th | None -> ());
-    (* 3. drain: workers exit only once the queue is empty, so every
-       request accepted before (1) completes — zero dropped in flight *)
-    List.iter Thread.join t.worker_threads;
+    (* 3. drain: every request admitted or waiting before (1)
+       completes — zero dropped in flight *)
+    Gate.drain t.gate;
     (* 4. wake handlers blocked reading the next frame, and join them *)
     let handlers =
       Mutex.lock t.conns_m;
@@ -1156,8 +1139,9 @@ let stop t =
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (try Unix.close t.stop_rd with Unix.Unix_error _ -> ());
     (try Unix.close t.stop_wr with Unix.Unix_error _ -> ());
-    (* workers and handlers are joined: no request (or promotion) is in
-       flight, so the replication components can come down cleanly *)
+    (* the gate is drained and handlers are joined: no request (or
+       promotion) is in flight, so the replication components can come
+       down cleanly *)
     (match t.repl_standby with
     | Some s ->
         (try Xsb_repl.Repl.Standby.stop s with _ -> ());

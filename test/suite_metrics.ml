@@ -185,7 +185,9 @@ let build_registry (counter_vals, gauge_vals, hist_obs) =
   r
 
 let parse_back_prop =
-  QCheck2.Test.make ~count:200 ~name:"exposition validates and is complete" gen_registry
+  QCheck2.Test.make ~count:200 ~name:"exposition validates and is complete"
+    ~print:QCheck2.Print.(triple (list (pair int string)) (list float) (list (list float)))
+    gen_registry
     (fun ((counter_vals, gauge_vals, hist_obs) as spec) ->
       let r = build_registry spec in
       match M.Exposition.validate (M.to_text r) with

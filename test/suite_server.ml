@@ -646,9 +646,10 @@ let metrics_cases =
                 with_client server (fun c -> check_string "pong" "pong" (ok (Client.ping c))));
             close_out access_oc;
             close_out slow_oc;
-            (* the handler reads the clock once (received), the worker
-               twice (start, end): the measured wall is exactly one
-               fake-clock step, NTP-immune by construction *)
+            (* the handler reads the clock once on receipt, then twice
+               around execution (start, end); the admission gate reads
+               none: the measured wall is exactly one fake-clock step,
+               NTP-immune by construction *)
             (match read_lines access_path with
             | [ line ] ->
                 let json = Result.get_ok (Xsb.Json.of_string line) in
@@ -735,6 +736,150 @@ let metrics_cases =
             ignore server));
   ]
 
+(* --- the admission gate: queue deadline, liveness gauges, FIFO --- *)
+
+(* poll an in-process scrape until it validates and reads (in flight,
+   waiting) = [want] *)
+let await_gauges server (in_flight, waiting) =
+  let want =
+    [
+      Printf.sprintf "xsb_in_flight_requests %d" in_flight;
+      Printf.sprintf "xsb_queue_depth %d" waiting;
+    ]
+  in
+  let give_up = Unix.gettimeofday () +. 5.0 in
+  let rec poll () =
+    let text = Xsb.Metrics.to_text (Server.registry server) in
+    (match Xsb.Metrics.Exposition.validate text with
+    | Error why -> Alcotest.failf "invalid exposition: %s" why
+    | Ok _ -> ());
+    let lines = String.split_on_char '\n' text in
+    if List.for_all (fun line -> List.mem line lines) want then ()
+    else if Unix.gettimeofday () > give_up then
+      Alcotest.failf "the scrape never read %s" (String.concat ", " want)
+    else begin
+      Thread.delay 0.005;
+      poll ()
+    end
+  in
+  poll ()
+
+(* a bare connection, for what the client library folds away (the
+   message of an ERR TIMEOUT) *)
+let with_raw server f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+      let oc = Unix.out_channel_of_descr fd in
+      f (fun req ->
+          Protocol.write_request oc req;
+          Protocol.read_reply (Unix.in_channel_of_descr fd)))
+
+let access_log_lines path =
+  List.map
+    (fun line ->
+      match Xsb.Json.of_string line with
+      | Ok json -> json
+      | Error msg -> Alcotest.failf "bad JSONL line %S: %s" line msg)
+    (read_lines path)
+
+let json_field field json =
+  match Option.bind (Xsb.Json.member field json) Xsb.Json.as_string with
+  | Some s -> s
+  | None -> Alcotest.failf "missing string field %s" field
+
+let queue_deadline_case =
+  t "queue deadline: a request waiting past its deadline times out unexecuted" `Slow (fun () ->
+      let log_path = Filename.temp_file "access" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove log_path) @@ fun () ->
+      let log_oc = open_out log_path in
+      let cfg =
+        { Server.default_config with workers = 1; default_max_steps = 0; access_log = Some log_oc }
+      in
+      with_server ~cfg (fun server ->
+          with_client server (fun holder ->
+              with_raw server (fun send ->
+                  ignore (ok (Client.consult holder loop_program));
+                  (match send (Protocol.request Protocol.Consult loop_program) with
+                  | Protocol.Ok_ _ -> ()
+                  | _ -> Alcotest.fail "consult refused");
+                  (* a reply can reach the client just before its slot is
+                     released: let the consults settle first *)
+                  await_gauges server (0, 0);
+                  (* loop(1) holds the only slot for 800 ms... *)
+                  let th =
+                    Thread.create
+                      (fun () -> ignore (Client.query ~timeout_ms:800 holder "loop(1)"))
+                      ()
+                  in
+                  await_gauges server (1, 0);
+                  (* ...so a 200 ms deadline runs out while waiting *)
+                  (match send (Protocol.request ~timeout_ms:200 Protocol.Query "loop(1)") with
+                  | Protocol.Err (Protocol.Timeout, msg) ->
+                      check_string "message" "deadline exceeded in queue" msg
+                  | _ -> Alcotest.fail "expected ERR TIMEOUT");
+                  Thread.join th)));
+      close_out log_oc;
+      (* the waiter finished last; it never ran a resolution step *)
+      match List.rev (access_log_lines log_path) with
+      | last :: _ ->
+          check_string "op" "QUERY" (json_field "op" last);
+          check_string "outcome" "timeout" (json_field "outcome" last);
+          check_int "steps" 0 (json_int "steps" last)
+      | [] -> Alcotest.fail "empty access log")
+
+let liveness_case =
+  t "liveness gauges: executing and waiting counts, FIFO admission" `Slow (fun () ->
+      let log_path = Filename.temp_file "access" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove log_path) @@ fun () ->
+      let log_oc = open_out log_path in
+      let cfg =
+        {
+          Server.default_config with
+          workers = 1;
+          queue_capacity = 2;
+          default_max_steps = 0;
+          access_log = Some log_oc;
+        }
+      in
+      with_server ~cfg (fun server ->
+          with_client server (fun a ->
+              with_client server (fun b ->
+                  with_client server (fun c ->
+                      ignore (ok (Client.consult a loop_program));
+                      ignore (ok (Client.consult b "b(1).\n"));
+                      ignore (ok (Client.consult c "c(1).\n"));
+                      await_gauges server (0, 0);
+                      let rows = Array.make 2 [] in
+                      let ask i client goal =
+                        Thread.create (fun () -> rows.(i) <- rows_of (Client.query client goal)) ()
+                      in
+                      (* loop(1) holds the only slot for 1 s; B, then C, wait *)
+                      let ta =
+                        Thread.create
+                          (fun () -> ignore (Client.query ~timeout_ms:1_000 a "loop(1)"))
+                          ()
+                      in
+                      await_gauges server (1, 0);
+                      let tb = ask 0 b "b(X)" in
+                      await_gauges server (1, 1);
+                      let tc = ask 1 c "c(X)" in
+                      await_gauges server (1, 2);
+                      List.iter Thread.join [ ta; tb; tc ];
+                      check_bool "b answered" true (rows.(0) = [ "X = 1" ]);
+                      check_bool "c answered" true (rows.(1) = [ "X = 1" ]);
+                      await_gauges server (0, 0)))));
+      close_out log_oc;
+      (* B waited first, so B was admitted (and logged) first *)
+      let preds =
+        access_log_lines log_path
+        |> List.filter (fun json -> json_field "op" json = "QUERY")
+        |> List.map (json_field "pred")
+      in
+      Alcotest.(check (list string)) "admission order" [ "loop/1"; "b/1"; "c/1" ] preds)
+
 let suite =
   protocol_cases @ bounded_cases @ negative_cases @ server_cases @ metrics_cases
-  @ [ isolation_case; backpressure_case; shutdown_case ]
+  @ [ isolation_case; backpressure_case; queue_deadline_case; liveness_case; shutdown_case ]

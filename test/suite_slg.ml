@@ -320,7 +320,7 @@ let props =
   let open QCheck2 in
   [
     Test.make ~name:"SLG transitive closure = BFS reachability" ~count:60
-      (Generators.edges_gen ~n:12 ~m:20) (fun edges ->
+      ~print:Generators.edge_facts (Generators.edges_gen ~n:12 ~m:20) (fun edges ->
         let s = session (tc_program edges) in
         let slg =
           List.sort_uniq compare
@@ -334,7 +334,7 @@ let props =
         let bfs = Generators.reachable edges 1 in
         slg = bfs);
     Test.make ~name:"SLG = semi-naive bottom-up on random datalog" ~count:60
-      (Generators.edges_gen ~n:10 ~m:18) (fun edges ->
+      ~print:Generators.edge_facts (Generators.edges_gen ~n:10 ~m:18) (fun edges ->
         let text = tc_program edges in
         let s = session text in
         let slg = Session.count s "path(X,Y)" in
