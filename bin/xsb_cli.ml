@@ -278,7 +278,7 @@ let trace =
     & info [ "trace" ] ~env ~docv:"SINK"
         ~doc:
           "Emit typed engine events (new subgoal, answer, suspend/resume, negation \
-           wait, SCC completion, drain, abolish). \\$(docv) is pretty (the default), \
+           wait, SCC completion, drain, abolish). $(docv) is pretty (the default), \
            jsonl (one JSON object per line) or null; see --trace-out for the \
            destination.")
 
@@ -287,7 +287,7 @@ let trace_out =
     value
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write the trace to \\$(docv) instead of stderr.")
+        ~doc:"Write the trace to $(docv) instead of stderr.")
 
 let profile =
   Arg.(
@@ -331,7 +331,7 @@ let data_dir =
     & opt (some string) None
     & info [ "data-dir" ] ~docv:"DIR"
         ~doc:
-          "Durable session: recover the dynamic database journaled under \\$(docv) (on top of \
+          "Durable session: recover the dynamic database journaled under $(docv) (on top of \
            the consulted files), then journal every further mutation there.")
 
 let sync_policy =

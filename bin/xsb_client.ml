@@ -212,7 +212,7 @@ let retries =
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry the connect (ECONNREFUSED) and idempotent requests (OVERLOADED) up to \\$(docv) \
+          "Retry the connect (ECONNREFUSED) and idempotent requests (OVERLOADED) up to $(docv) \
            times with exponential backoff and jitter.")
 
 let backoff_ms =

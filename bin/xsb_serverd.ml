@@ -122,7 +122,10 @@ let timeout_ms =
   Arg.(
     value & opt int 5000
     & info [ "timeout-ms" ] ~docv:"MS"
-        ~doc:"Default per-request wall-clock deadline (0 = none); requests past it get TIMEOUT.")
+        ~doc:
+          "Default per-request wall-clock deadline (0 = none); requests past it get TIMEOUT. \
+           It also bounds a stalled send: a reply write that makes no progress for $(docv) \
+           milliseconds fails and the connection is closed.")
 
 let max_steps =
   Arg.(
@@ -151,7 +154,7 @@ let access_log =
     value
     & opt (some string) None
     & info [ "access-log" ] ~docv:"FILE"
-        ~doc:"Write one JSON object per request to \\$(docv) ('-' for stdout).")
+        ~doc:"Write one JSON object per request to $(docv) ('-' for stdout).")
 
 let sync_conv =
   let parse s =
@@ -170,7 +173,7 @@ let data_dir =
     & opt (some string) None
     & info [ "data-dir" ] ~docv:"DIR"
         ~doc:
-          "Durable mode: journal every mutation under \\$(docv) and recover the database from \
+          "Durable mode: journal every mutation under $(docv) and recover the database from \
            it on startup. All connections then share one persistent session.")
 
 let sync =
@@ -187,14 +190,14 @@ let compact_bytes =
     value
     & opt int (8 * 1024 * 1024)
     & info [ "compact-bytes" ] ~docv:"BYTES"
-        ~doc:"Snapshot + truncate the journal when it grows past \\$(docv) (0 disables).")
+        ~doc:"Snapshot + truncate the journal when it grows past $(docv) (0 disables).")
 
 let keep_generations =
   Arg.(
     value & opt int 0
     & info [ "keep-generations" ] ~docv:"N"
         ~doc:
-          "Archive the last \\$(docv) rotated journal generations (and their snapshots) instead \
+          "Archive the last $(docv) rotated journal generations (and their snapshots) instead \
            of deleting them on compaction — the raw material for point-in-time recovery and for \
            standbys following across a rotation. Forced to at least 1 when replication is on.")
 
@@ -208,7 +211,7 @@ let repl_port =
     & opt (some int) None
     & info [ "repl-port" ] ~docv:"PORT"
         ~doc:
-          "Serve the replication feed (journal shipping) on \\$(docv) so standbys can follow \
+          "Serve the replication feed (journal shipping) on $(docv) so standbys can follow \
            this server; 0 picks an ephemeral port (printed at startup). Requires --data-dir.")
 
 let replica_of =
@@ -218,7 +221,7 @@ let replica_of =
     & info [ "replica-of" ] ~docv:"HOST:PORT"
         ~doc:
           "Run as a read-only standby of the primary whose replication feed listens at \
-           \\$(docv): mirror and apply its journal continuously, refuse mutations with \
+           $(docv): mirror and apply its journal continuously, refuse mutations with \
            READONLY, and accept PROMOTE for failover. Requires --data-dir.")
 
 let sync_standbys =
@@ -227,7 +230,7 @@ let sync_standbys =
     & opt ~vopt:1 int 0
     & info [ "sync-standby" ] ~docv:"K"
         ~doc:
-          "Semi-synchronous replication: a mutation's ack additionally waits until \\$(docv) \
+          "Semi-synchronous replication: a mutation's ack additionally waits until $(docv) \
            standbys have acknowledged the committed journal position (default 1 when the flag \
            is given bare; 0 = asynchronous). On timeout the commit degrades to async instead of \
            freezing writers. Requires --repl-port.")
@@ -288,7 +291,7 @@ let slow_ms =
     value & opt int 0
     & info [ "slow-ms" ] ~docv:"MS"
         ~doc:
-          "Slow-query threshold: requests taking at least \\$(docv) milliseconds are written to \
+          "Slow-query threshold: requests taking at least $(docv) milliseconds are written to \
            the slow-query log (0 disables).")
 
 let slow_log =
@@ -297,7 +300,7 @@ let slow_log =
     & opt (some string) None
     & info [ "slow-log" ] ~docv:"FILE"
         ~doc:
-          "Write one JSON object per slow request to \\$(docv) ('-' for stdout): goal, wall \
+          "Write one JSON object per slow request to $(docv) ('-' for stdout): goal, wall \
            time, and the per-request engine-stats delta, correlated to the access log by \
            request id.")
 

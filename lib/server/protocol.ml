@@ -185,8 +185,9 @@ let read_request ic =
 
 (* --- replies --- *)
 
-let write_reply oc reply =
-  (match reply with
+(* one frame into the channel's buffer; the channel flushes by itself
+   only when that buffer fills *)
+let output_reply oc = function
   | Ok_ payload ->
       output_string oc (Printf.sprintf "OK %d\n" (String.length payload));
       output_string oc payload
@@ -196,8 +197,13 @@ let write_reply oc reply =
   | Done { count; more } -> output_string oc (Printf.sprintf "DONE %d %d\n" count (Bool.to_int more))
   | Err (code, msg) ->
       output_string oc (Printf.sprintf "ERR %s %d\n" (err_code_name code) (String.length msg));
-      output_string oc msg);
+      output_string oc msg
+
+let write_replies oc replies =
+  List.iter (output_reply oc) replies;
   flush oc
+
+let write_reply oc reply = write_replies oc [ reply ]
 
 let read_reply ic =
   let line = read_line_bounded ic in

@@ -15,7 +15,9 @@
 
     Replies: [OK <len>\n<payload>], a stream of [ANSWER <len>\n<payload>]
     frames closed by [DONE <count> <more01>\n], or a typed
-    [ERR <CODE> <len>\n<payload>]. *)
+    [ERR <CODE> <len>\n<payload>]. The server writes all of a
+    request's frames with one {!write_replies}, so a reply is flushed
+    once, not once per frame. *)
 
 exception Bad_frame of string
 (** A malformed frame (bad header, implausible length, truncated
@@ -101,5 +103,14 @@ val read_request : in_channel -> request
 (** Raises {!Bad_frame} on malformed input, [End_of_file] on a cleanly
     closed peer. *)
 
+val write_replies : out_channel -> reply list -> unit
+(** Write every frame of a reply, in order, then flush once. The
+    channel's own buffer is the only size threshold: a reply larger
+    than it leaves in buffer-sized writes, the rest with the final
+    flush. The bytes are exactly those of {!write_reply} applied frame
+    by frame. *)
+
 val write_reply : out_channel -> reply -> unit
+(** [write_replies oc [reply]]: write and flush one frame. *)
+
 val read_reply : in_channel -> reply

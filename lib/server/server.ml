@@ -356,18 +356,28 @@ let outcome_of replies =
       | _ -> outcome)
     "ok" replies
 
-(* write a reply, tolerating a peer that vanished mid-stream: the
-   request still completes (and is logged); the handler sees EOF on its
-   next read and closes the connection *)
-let try_write conn reply =
-  try
-    Protocol.write_reply conn.c_oc reply;
-    true
-  with Sys_error _ | Unix.Unix_error _ -> false
+(* The one write site: every frame of a request's reply goes into the
+   connection's channel and is flushed once. A failed write (the peer
+   vanished, or made no progress for the send deadline set in
+   [make_conn]) shuts the socket down: the request still completes and
+   is logged, and the handler's next read sees EOF and closes the
+   connection instead of reading on a stream whose reply it broke.
+
+   Returns the access log's [answers]: the count of ANSWER frames the
+   reply wrote before any write error. The reply is one write, so that
+   is every ANSWER frame when the write succeeds and 0 when it fails
+   (the server cannot tell which buffered frames reached the peer). *)
+let send conn replies =
+  match Protocol.write_replies conn.c_oc replies with
+  | () -> List.fold_left (fun n -> function Protocol.Answer _ -> n + 1 | _ -> n) 0 replies
+  | exception (Sys_error _ | Sys_blocked_io | Unix.Unix_error _) ->
+      (* [Sys_blocked_io]: the send deadline expired *)
+      (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+      0
 
 (* a request answered by one error frame without being dispatched *)
 let refuse t conn ~id ~op ~wall code msg =
-  ignore (try_write conn (Protocol.Err (code, msg)));
+  ignore (send conn [ Protocol.Err (code, msg) ]);
   log_request t ~id ~conn_id:conn.c_id ~op ~pred:"" ~answers:0 ~steps:0 ~wall
     ~outcome:(outcome_of_code code)
 
@@ -747,14 +757,8 @@ let execute t (job : job) =
                     result)))
     | _ -> dispatch ()
   in
-  (* the one write site, outside [sh_m]; answers = ANSWER frames delivered *)
-  let answers =
-    List.fold_left
-      (fun n reply ->
-        let delivered = try_write conn reply in
-        match reply with Protocol.Answer _ when delivered -> n + 1 | _ -> n)
-      0 replies
-  in
+  (* outside [sh_m] *)
+  let answers = send conn replies in
   let outcome = outcome_of replies in
   let wall = !monotonic () -. t0 in
   let steps = engine_steps conn - steps0 in
@@ -806,7 +810,10 @@ let close_conn t conn =
      leave its tables alone. *)
   (if t.shared = None then
      try Xsb.Engine.reset_tables (Xsb.Session.engine conn.c_session) with _ -> ());
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
+  (* closing the channel, not just the descriptor: after a failed write
+     its buffer still holds reply bytes, which the at-exit flush of open
+     channels would otherwise write to whatever file reuses the number *)
+  close_out_noerr conn.c_oc;
   Mutex.lock t.conns_m;
   Hashtbl.remove t.conns conn.c_id;
   Mutex.unlock t.conns_m
@@ -856,6 +863,13 @@ let handler_loop t conn =
 
 let make_conn t fd =
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  (* the send deadline: a reply write that makes no progress for
+     --timeout-ms fails, instead of pinning this handler and its gate
+     slot on a peer that stopped reading. A slow reader still makes
+     progress and is unaffected. *)
+  (if t.cfg.default_timeout_ms > 0 then
+     let secs = float_of_int t.cfg.default_timeout_ms /. 1000.0 in
+     try Unix.setsockopt_float fd Unix.SO_SNDTIMEO secs with Unix.Unix_error _ -> ());
   let session =
     match t.shared with
     | Some sh -> sh.sh_session

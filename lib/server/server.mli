@@ -5,8 +5,9 @@
 
     Architecture (DESIGN.md §8): one acceptor thread; one handler
     thread per connection that reads a frame, executes the request and
-    writes its replies itself (so a connection's requests execute in
-    order against its private session). Before executing, the handler
+    writes its replies itself, all of a request's frames with one
+    flush (so a connection's requests execute in order against its
+    private session). Before executing, the handler
     passes the admission gate: at most [workers] requests execute at
     once, at most [queue_capacity] more wait and are admitted in
     arrival order, and a request arriving to a full wait line is
@@ -14,6 +15,8 @@
     Deadlines are enforced twice: a wall-clock check polled inside the
     engine and a resolution-step budget ({!Xsb.Engine.run_bounded}),
     so a runaway derivation returns [TIMEOUT] instead of holding its
+    slot; the same deadline bounds a stalled reply write, so a peer
+    that stops reading loses its connection instead of holding the
     slot. *)
 
 type config = {
@@ -23,7 +26,10 @@ type config = {
   queue_capacity : int;
       (** cap on requests waiting for admission (FIFO); one more is
           answered [OVERLOADED] *)
-  default_timeout_ms : int;  (** per-request wall deadline; 0 = none *)
+  default_timeout_ms : int;
+      (** per-request wall deadline; 0 = none. Also each connection's
+          send deadline: a reply write that makes no progress for this
+          long fails and the connection is closed. *)
   max_timeout_ms : int;  (** clamp on client-supplied deadlines; 0 = no clamp *)
   default_max_steps : int;  (** per-request step budget; 0 = none *)
   max_steps_cap : int;  (** clamp on client-supplied budgets; 0 = no clamp *)

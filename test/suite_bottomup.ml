@@ -120,14 +120,15 @@ let cases =
 
 let props =
   let open QCheck2 in
+  let print_start = Print.pair Generators.edge_facts Print.int in
   [
-    Test.make ~name:"naive = seminaive on random graphs" ~count:50
+    Test.make ~name:"naive = seminaive on random graphs" ~count:50 ~print:Generators.edge_facts
       (Generators.edges_gen ~n:8 ~m:14) (fun edges ->
         let p = program (tc edges) in
         let a = Bottomup.run ~strategy:Bottomup.Naive p in
         let b = Bottomup.run ~strategy:Bottomup.Seminaive p in
         Bottomup.relation_size a ("path", 2) = Bottomup.relation_size b ("path", 2));
-    Test.make ~name:"magic = full model on query-relevant answers" ~count:50
+    Test.make ~name:"magic = full model on query-relevant answers" ~count:50 ~print:print_start
       (QCheck2.Gen.pair (Generators.edges_gen ~n:8 ~m:14) (QCheck2.Gen.int_range 1 8))
       (fun (edges, start) ->
         let p = program (tc edges) in
@@ -135,7 +136,7 @@ let props =
         let magic = List.length (Magic.answers p (g ())) in
         let st = Bottomup.run p in
         magic = List.length (Bottomup.answers st (g ())));
-    Test.make ~name:"factoring preserves answers" ~count:50
+    Test.make ~name:"factoring preserves answers" ~count:50 ~print:print_start
       (QCheck2.Gen.pair (Generators.edges_gen ~n:8 ~m:14) (QCheck2.Gen.int_range 1 8))
       (fun (edges, start) ->
         let p = program (tc edges) in

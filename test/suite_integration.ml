@@ -233,8 +233,14 @@ let wfs_props =
     Gen.list_size (Gen.int_range 1 12)
       (Gen.triple atom (Gen.list_size (Gen.int_range 0 2) atom) (Gen.list_size (Gen.int_range 0 2) atom))
   in
+  (* a counterexample prints as the rules it stands for *)
+  let print_rule (h, pos, neg) =
+    Printf.sprintf "%s :- [%s], not [%s]." h (String.concat ", " pos) (String.concat ", " neg)
+  in
+  let print_program rules = String.concat "\n" (List.map print_rule rules) in
   [
-    Test.make ~name:"engine WFS = direct alternating fixpoint" ~count:80 program_gen (fun rules ->
+    Test.make ~name:"engine WFS = direct alternating fixpoint" ~count:80 ~print:print_program
+      program_gen (fun rules ->
         (* direct ground evaluation *)
         let ground = Ground.create () in
         List.iter

@@ -140,13 +140,15 @@ let cases =
 let props =
   let open QCheck2 in
   [
-    Test.make ~name:"parse (pretty t) is a variant of t" ~count:300 Generators.term_gen (fun term ->
+    Test.make ~name:"parse (pretty t) is a variant of t" ~count:300
+      ~print:Generators.term_print Generators.term_gen (fun term ->
         let term = Term.copy term in
         let printed = Pretty.to_string term in
         match parse printed with
         | parsed -> Unify.variant term parsed
         | exception _ -> QCheck2.Test.fail_reportf "unparseable: %s" printed);
-    Test.make ~name:"canonical print parses back" ~count:300 Generators.term_gen (fun term ->
+    Test.make ~name:"canonical print parses back" ~count:300 ~print:Generators.term_print
+      Generators.term_gen (fun term ->
         let term = Term.copy term in
         match parse (Term.to_string term) with
         | parsed -> Unify.variant term parsed

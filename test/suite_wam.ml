@@ -165,7 +165,8 @@ let props =
   [
     (* SLG answers are tabled (variant-deduplicated) while the WAM
        enumerates SLD derivations, so compare distinct solution sets *)
-    Test.make ~name:"WAM = SLG on random edge joins" ~count:40 (Generators.edges_gen ~n:8 ~m:14)
+    Test.make ~name:"WAM = SLG on random edge joins" ~count:40 ~print:Generators.edge_facts
+      (Generators.edges_gen ~n:8 ~m:14)
       (fun edges ->
         let edges = List.sort_uniq compare edges in
         let text = Generators.edge_facts edges in
@@ -184,7 +185,7 @@ let props =
         in
         wam = slg);
     Test.make ~name:"WAM linear tabling = SLG tabling on random graphs" ~count:40
-      (Generators.edges_gen ~n:8 ~m:14) (fun edges ->
+      ~print:Generators.edge_facts (Generators.edges_gen ~n:8 ~m:14) (fun edges ->
         let edges = List.sort_uniq compare edges in
         let text =
           ":- table path/2.\npath(X,Y) :- edge(X,Y).\npath(X,Y) :- path(X,Z), edge(Z,Y).\n"
@@ -204,7 +205,7 @@ let props =
         in
         wam = slg);
     Test.make ~name:"WAM = SLG on bounded right-recursive path" ~count:40
-      (Generators.edges_gen ~n:7 ~m:8) (fun edges ->
+      ~print:Generators.edge_facts (Generators.edges_gen ~n:7 ~m:8) (fun edges ->
         (* keep it acyclic: only keep edges a<b so SLD terminates *)
         let edges = List.sort_uniq compare (List.filter (fun (a, b) -> a < b) edges) in
         let text =
